@@ -106,14 +106,19 @@ def _default_trunc(job: dict) -> int:
     return 16
 
 
+def _with_trunc(job: dict) -> dict:
+    """A copy of the job whose missing or zero ``trunc`` is the command's default."""
+    job = dict(job)
+    if not job.get("trunc"):
+        job["trunc"] = _default_trunc(job)
+    return job
+
+
 def run_job(job: dict) -> dict:
     """Execute one JobSpec; returns the full ResultRecord."""
-    job = dict(job)
-    command = job["command"]
-    if "trunc" not in job or not job["trunc"]:
-        job["trunc"] = _default_trunc(job)
+    job = _with_trunc(job)
     started = time.perf_counter()
-    outputs = _dispatch(command, job)
+    outputs = _dispatch(job["command"], job)
     duration = time.perf_counter() - started
     return {
         "hash": job_hash(_canonical_job(job)),
@@ -285,10 +290,7 @@ def run_suite(config_path: str, baseline_path: str | None = None,
     cache = cache_dir_from_env(cache)
 
     def run_one(job: dict) -> dict:
-        filled = dict(job)
-        if "trunc" not in filled or not filled["trunc"]:
-            filled["trunc"] = _default_trunc(filled)
-        h = job_hash(_canonical_job(filled))
+        h = job_hash(_canonical_job(_with_trunc(job)))
         cached = _cache_load(cache, h)
         if cached is not None:
             return cached
@@ -374,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         s = subs.add_parser(name)
         _add_law_args(s)
         s.add_argument("--type", required=True, help="comma-separated exponents, e.g. 2 or 1,1")
-        if name == "tate":
-            s.add_argument("--report", choices=("json", "text"), default="json")
 
     s = subs.add_parser("delta-check", help="check delta-ring laws on random samples")
     s.add_argument("--ring", required=True, help='e.g. "Z[t]; psi t -> t^2"')
@@ -440,10 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(record) + "\n")
-    fmt = getattr(args, "format", "json")
-    if getattr(args, "report", None):
-        fmt = args.report
-    if fmt == "text":
+    if args.format == "text":
         _print_text(record["outputs"], sys.stdout)
     else:
         print(canonical_json(record["outputs"]))

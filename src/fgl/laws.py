@@ -7,23 +7,27 @@ Constructors:
 * ``multiplicative_law``  -- F = x + y + xy over Z or Z/p^N (height 1).
 * ``additive_law``        -- F = x + y.
 * ``honda_law``           -- the height-n p-typical law over F_p, built from
-  the logarithm l(x) = sum_i x^(p^(n i)) / p^i with exact rationals and
-  reduced mod p.
+  the logarithm l(x) = sum_i x^(p^(n i)) / p^i and reduced mod p.
 * ``lubin_tate_height2_law`` -- a height-2 law over Z/p^N[u1]/(u1^D) whose
   logarithm solves the functional equation
   l(x) = x + (u1/p) l^s(x^p) + (1/p) l^(s s)(x^(p^2)),
   s being the coefficient twist u1 -> u1^p (required for p-integrality).
 
-The logarithm constructions run over exact rationals; every coefficient of
-the resulting law must have denominator prime to p (this is checked, and a
-failure is a bug, not a user error) before being reduced into the target
-ring.
+The logarithm constructions run over Z[1/p] on p-scaled integers: a
+coefficient is a list of integers (one per power of u1) with one scale s,
+standing for ints / p^s. That is exact, with no guard digits to derive:
+the logarithms have p-power denominators, and the law is built from them by
+ring operations and by divisions by integers whose prime-to-p part divides
+exactly, so no value ever leaves Z[1/p]. Every coefficient of the resulting
+law must come back to scale 0 before it is reduced into the target ring;
+this is checked, and a failure is an ``IntegralityFailure`` (a bug, not a
+user error).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import (
@@ -33,81 +37,6 @@ from .errors import (
     TruncationTooSmall,
 )
 from .series import TruncSeries
-
-
-class _QU:
-    """Dense polynomial in the deformation parameter over Q, mod u^width."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, width: int) -> "_QU":
-        return cls((Fraction(0),) * width)
-
-    @classmethod
-    def const(cls, width: int, value: Fraction) -> "_QU":
-        return cls((Fraction(value),) + (Fraction(0),) * (width - 1))
-
-    @classmethod
-    def u(cls, width: int) -> "_QU":
-        if width < 2:
-            return cls.zero(width)
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (width - 2))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "_QU") -> "_QU":
-        return _QU(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "_QU") -> "_QU":
-        w = len(self.coeffs)
-        out = [Fraction(0)] * w
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= w:
-                    break
-                if b != 0:
-                    out[i + j] += a * b
-        return _QU(out)
-
-    def scale(self, k: Fraction) -> "_QU":
-        return _QU(c * k for c in self.coeffs)
-
-    def frobenius_twist(self, p: int) -> "_QU":
-        """Apply u -> u^p to the coefficients (truncated at the width)."""
-        w = len(self.coeffs)
-        out = [Fraction(0)] * w
-        for i, c in enumerate(self.coeffs):
-            if c != 0 and i * p < w:
-                out[i * p] += c
-        return _QU(out)
-
-    def to_coeff(self, spec: CoeffRingSpec) -> CoeffElem:
-        """Reduce into the target ring; denominators must be prime to p."""
-        terms = {}
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if c.denominator % spec.p == 0:
-                raise IntegralityFailure(f"coefficient {c} is not {spec.p}-integral")
-            if spec.exact:
-                if c.denominator != 1:
-                    raise IntegralityFailure(f"coefficient {c} is not an integer")
-                value = c.numerator
-            else:
-                value = c.numerator * pow(c.denominator, -1, spec.modulus) % spec.modulus
-            if spec.deformation_params:
-                mono = (j,) + (0,) * (spec.deformation_params - 1)
-            else:
-                mono = ()
-            terms[mono] = value
-        return CoeffElem(spec, terms)
 
 
 @dataclass(frozen=True)
@@ -234,90 +163,154 @@ def additive_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
     return FormalGroupLaw(spec, F, None, "additive")
 
 
-def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, _QU],
+# -- logarithm constructions -----------------------------------------------------
+#
+# A Scaled pair (ints, s) is the u-polynomial sum_i ints[i] u^i / p^s mod
+# u^width, with len(ints) = width and s >= 0 (see the module docstring).
+
+Scaled = tuple[list[int], int]
+
+
+def _strip(ints: list[int], s: int, p: int) -> Scaled:
+    """Move every power of p dividing all of ``ints`` out of the scale."""
+    if s:
+        g = gcd(*ints)
+        if not g:
+            return ints, 0
+        v = 0
+        while v < s and g % p == 0:
+            g //= p
+            v += 1
+        if v:
+            q = p ** v
+            return [c // q for c in ints], s - v
+    return ints, s
+
+
+def _mul(a: Scaled, b: Scaled, p: int) -> Scaled:
+    """Product truncated at u^width: convolve the ints, add the scales."""
+    a_ints, b_ints = a[0], b[0]
+    width = len(a_ints)
+    out = [0] * width
+    for i, x in enumerate(a_ints):
+        if x:
+            for j in range(width - i):
+                out[i + j] += x * b_ints[j]
+    return _strip(out, a[1] + b[1], p)
+
+
+def _lincomb(terms: list[tuple[int, Scaled]], p: int, width: int) -> Scaled:
+    """sum(k * a for k, a in terms), brought to the largest scale among them."""
+    if not terms:
+        return [0] * width, 0
+    top = max(a[1] for _, a in terms)
+    out = [0] * width
+    for k, (ints, s) in terms:
+        f = k * p ** (top - s)
+        for i, c in enumerate(ints):
+            out[i] += f * c
+    return _strip(out, top, p)
+
+
+def _twist(a: Scaled, p: int) -> Scaled:
+    """Apply u -> u^p to the coefficients (truncated at the width)."""
+    ints, s = a
+    out = [0] * len(ints)
+    for i in range(0, len(ints), p):
+        out[i] = ints[i // p]
+    return out, s
+
+
+def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
                   width: int, height: int, name: str) -> FormalGroupLaw:
     """Build F = l^{-1}(l(x) + l(y)) from a sparse logarithm.
 
-    The compositional inverse E of l is found degree by degree from
-    l(E(z)) = z; F is then the Horner evaluation of E at l(x) + l(y),
-    carried out over exact rationals and reduced into ``spec`` at the end.
+    ``log_coeffs`` maps j to l_j, a u-polynomial mod u^width in p-scaled
+    form, with l_1 = 1. The compositional inverse E = l^{-1} is found degree
+    by degree from sum_j l_j E(z)^j = z: with G = E/z, the coefficient
+    [z^k] E^j = [z^(k-j)] G^j comes from J.C.P. Miller's power recurrence
+    (Knuth, TAOCP vol. 2, 4.7)
+
+        c_0 = 1,  c_n = (1/n) sum_{i=1..n} ((j+1) i - n) g_i c_{n-i},
+
+    kept for each j with l_j != 0, so a new e_k costs O(k) products per j.
+    Dividing by n = p^v m divides the ints by m exactly and adds v to the
+    scale. F is then the Horner evaluation of E at l(x) + l(y). Each of its
+    coefficients must reach scale 0 before it is reduced into ``spec``;
+    one that does not is an ``IntegralityFailure``.
     """
-    # Reversion: E = l^{-1}, dense list of _QU indexed by degree. At round k
-    # the z^k coefficient of sum_{j>=2} l_j E(z)^j only involves e_i with
-    # i < k, so each round pins down one new coefficient.
-    E = [_QU.zero(width), _QU.const(width, Fraction(1))]
-    js = sorted(j for j in log_coeffs if j > 1 and j < cap)
+    p = spec.p
+
+    def fail(what: str) -> IntegralityFailure:
+        return IntegralityFailure(
+            f"{name}: {what} (p={p}, N={spec.p_precision}, D={width}, T={cap})")
+
+    def miller(c: list[Scaled], j: int, n: int) -> Scaled:
+        # c holds [z^i] G^j for i < n; g_i = e_{i+1}
+        terms = [((j + 1) * i - n, _mul(E[i + 1], c[n - i], p))
+                 for i in range(1, n + 1) if (j + 1) * i != n and any(E[i + 1][0])]
+        ints, s = _lincomb(terms, p, width)
+        m, v = n, 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        if any(x % m for x in ints):
+            raise fail(f"the Miller division by {m} at degree {n} of E^{j} is not exact")
+        return _strip([x // m for x in ints], s + v, p)
+
+    zero: Scaled = ([0] * width, 0)
+    one: Scaled = ([1] + [0] * (width - 1), 0)
+    E = [zero, one]
+    powers = {j: [one] for j, c in sorted(log_coeffs.items()) if 1 < j < cap and any(c[0])}
     for k in range(2, cap):
-        total = _QU.zero(width)
-        base = E + [_QU.zero(width)] * (cap - len(E))
-        acc = base
-        prev = 1
-        for j in js:
+        terms = []
+        for j, c in powers.items():
             if j > k:
                 break
-            for _ in range(j - prev):
-                acc = _poly_mul(acc, base, cap)
-            prev = j
-            total = total + (log_coeffs[j] * acc[k])
-        E.append(total.scale(Fraction(-1)))
+            n = k - j
+            if n:
+                c.append(miller(c, j, n))
+            terms.append((-1, _mul(log_coeffs[j], c[n], p)))
+        E.append(_lincomb(terms, p, width))
 
-    # S = l(x) + l(y) as a sparse bivariate polynomial over _QU.
-    S: dict[tuple[int, int], _QU] = {}
-    for k, c in log_coeffs.items():
-        if k < cap and not c.is_zero():
-            S[(k, 0)] = c
-            S[(0, k)] = c
+    # Horner: (((e_{cap-1}) S + e_{cap-2}) S + ... + e_1) S with
+    # S = l(x) + l(y). Every partial result is symmetric in x and y, so only
+    # the exponents (a, b) with a <= b are kept.
+    S = [(j, c) for j, c in sorted(log_coeffs.items()) if j < cap and any(c[0])]
+    acc: dict[tuple[int, int], Scaled] = {}
+    for k in range(cap - 1, -1, -1):
+        out: dict[tuple[int, int], Scaled] = {}
+        for a in range(cap):
+            for b in range(a, cap - a):
+                terms = []
+                for j, c in S:
+                    if j > b:
+                        break
+                    left = acc.get((a - j, b)) if j <= a else None
+                    right = acc.get((a, b - j) if a <= b - j else (b - j, a))
+                    if left and right:
+                        terms.append((1, _mul(c, _lincomb([(1, left), (1, right)], p, width), p)))
+                    elif left or right:
+                        terms.append((1, _mul(c, left or right, p)))
+                if terms:
+                    out[(a, b)] = _lincomb(terms, p, width)
+        acc = out
+        if k and any(E[k][0]):
+            acc[(0, 0)] = E[k]
 
-    # Horner: (((e_{cap-1}) S + e_{cap-2}) S + ... + e_1) S = sum_k e_k S^k.
-    acc_bi: dict[tuple[int, int], _QU] = {}
-    for k in range(cap - 1, 0, -1):
-        acc_bi = _bi_mul(acc_bi, S, width, cap)
-        ek = E[k]
-        if not ek.is_zero():
-            cur = acc_bi.get((0, 0), _QU.zero(width))
-            acc_bi[(0, 0)] = cur + ek
-    acc_bi = _bi_mul(acc_bi, S, width, cap)
     F_terms: dict[tuple[int, int], CoeffElem] = {}
-    for expo, q in acc_bi.items():
-        c = q.to_coeff(spec)
+    for (a, b), (ints, s) in acc.items():
+        if s:
+            raise fail(f"the x^{a} y^{b} coefficient keeps the denominator {p}^{s}")
+        if spec.deformation_params:
+            pad = (0,) * (spec.deformation_params - 1)
+            c = CoeffElem(spec, {(i,) + pad: x for i, x in enumerate(ints) if x})
+        else:
+            c = CoeffElem(spec, {(): ints[0]})
         if not c.is_zero():
-            F_terms[expo] = c
+            F_terms[(a, b)] = F_terms[(b, a)] = c
     F = TruncSeries(spec, ("x", "y"), cap, F_terms)
     return FormalGroupLaw(spec, F, height, name)
-
-
-def _poly_mul(a: list[_QU], b: list[_QU], cap: int) -> list[_QU]:
-    width = len(a[0].coeffs) if a else len(b[0].coeffs)
-    out = [_QU.zero(width) for _ in range(cap)]
-    for i, ai in enumerate(a):
-        if i >= cap or ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= cap:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _bi_mul(a: dict, s: dict, width: int, cap: int) -> dict:
-    """Multiply a (dense-ish dict) bivariate poly by the sparse poly s."""
-    if not a:
-        return {}
-    out: dict[tuple[int, int], _QU] = {}
-    for (i1, j1), c1 in a.items():
-        if c1.is_zero():
-            continue
-        for (i2, j2), c2 in s.items():
-            if i1 + i2 + j1 + j2 >= cap:
-                continue
-            key = (i1 + i2, j1 + j2)
-            prod = c1 * c2
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return out
 
 
 def honda_law(spec: CoeffRingSpec, n: int, cap: int) -> FormalGroupLaw:
@@ -328,11 +321,12 @@ def honda_law(spec: CoeffRingSpec, n: int, cap: int) -> FormalGroupLaw:
         raise SpecMismatch("honda law needs deformation_params = 0")
     if cap <= spec.p ** n:
         raise TruncationTooSmall(f"cap must exceed p^n = {spec.p ** n}")
-    log_coeffs: dict[int, _QU] = {}
+    # l(x) = sum_i x^(p^(n i)) / p^i
+    log_coeffs: dict[int, Scaled] = {}
     k = 1
     i = 0
     while k < cap:
-        log_coeffs[k] = _QU.const(1, Fraction(1, spec.p ** i))
+        log_coeffs[k] = ([1], i)
         k *= spec.p ** n
         i += 1
     return _law_from_log(spec, cap, log_coeffs, 1, n, f"honda({n})")
@@ -352,15 +346,14 @@ def lubin_tate_height2_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
         raise TruncationTooSmall(f"cap must exceed p^2 = {spec.p ** 2}")
     p = spec.p
     width = spec.u_degree_cap
-    u = _QU.u(width)
-    inv_p = Fraction(1, p)
-    log_coeffs: dict[int, _QU] = {1: _QU.const(width, Fraction(1))}
+    zero: Scaled = ([0] * width, 0)
+    log_coeffs: dict[int, Scaled] = {1: ([1] + [0] * (width - 1), 0)}
     k = p
     while k < cap:
-        prev = log_coeffs.get(k // p, _QU.zero(width))
-        prev2 = log_coeffs.get(k // (p * p), _QU.zero(width)) if k % (p * p) == 0 \
-            else _QU.zero(width)
-        log_coeffs[k] = (u * prev.frobenius_twist(p)
-                         + prev2.frobenius_twist(p).frobenius_twist(p)).scale(inv_p)
+        prev_ints, prev_s = _twist(log_coeffs.get(k // p, zero), p)
+        u_prev = ([0] + prev_ints[:-1], prev_s)
+        prev2 = log_coeffs.get(k // (p * p), zero) if k % (p * p) == 0 else zero
+        ints, s = _lincomb([(1, u_prev), (1, _twist(_twist(prev2, p), p))], p, width)
+        log_coeffs[k] = _strip(ints, s + 1, p)
         k *= p
     return _law_from_log(spec, cap, log_coeffs, width, 2, "lubinTate(2)")

@@ -82,6 +82,22 @@ def test_text_format(capsys):
     assert "rank: 2" in out
 
 
+def test_tate_text_format(capsys):
+    code, out, _ = run_cli(capsys, "tate", "--law", "multiplicative", "--p", "2",
+                           "--type", "1", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "iso: true" in lines and "levelRank: 1" in lines
+    assert all(": " in line for line in lines)
+
+
+def test_tate_report_flag_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["tate", "--law", "multiplicative", "--p", "2", "--type", "1",
+              "--report", "text"])
+    assert exc.value.code == 1
+
+
 def test_run_job_identical_hashes():
     job = {"command": "level", "law": "multiplicative", "p": 3, "type": "2"}
     r1, r2 = run_job(job), run_job(job)

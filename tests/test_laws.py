@@ -2,10 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import law_oracle
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import NonNilpotentArgument, SpecMismatch, TruncationTooSmall
+from fgl.errors import (
+    IntegralityFailure,
+    NonNilpotentArgument,
+    SpecMismatch,
+    TruncationTooSmall,
+)
 from fgl.laws import (
+    _law_from_log,
     additive_law,
     honda_law,
     lubin_tate_height2_law,
@@ -180,3 +189,42 @@ def test_lubin_tate_validation():
         lubin_tate_height2_law(Z2_4, 10)
     with pytest.raises(TruncationTooSmall):
         lubin_tate_height2_law(LT2_SPEC, 4)
+
+
+# -- the p-scaled builder against the Fraction oracle ------------------------------
+
+
+@pytest.mark.parametrize("p,n,cap", [
+    (2, 1, 12), (2, 2, 12), (3, 1, 12), (3, 2, 12), (2, 2, 20), (2, 2, 24),
+])
+def test_honda_matches_fraction_oracle(p, n, cap):
+    spec = CoeffRingSpec(p=p, p_precision=1)
+    assert honda_law(spec, n, cap).F.terms == law_oracle.honda_F(spec, n, cap).terms
+
+
+@pytest.mark.parametrize("p,pprec,udeg,cap", [
+    (2, 8, 6, 10), (2, 8, 6, 12), (2, 8, 6, 20), (2, 4, 2, 30),
+    (2, 3, 2, 8), (2, 3, 2, 20), (2, 3, 2, 24), (3, 4, 3, 12), (3, 4, 3, 14),
+])
+def test_lubin_tate_matches_fraction_oracle(p, pprec, udeg, cap):
+    spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
+    assert lubin_tate_height2_law(spec, cap).F.terms == \
+        law_oracle.lubin_tate_height2_F(spec, cap).terms
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p_cap=st.sampled_from([2, 3]).flatmap(
+           lambda p: st.tuples(st.just(p), st.integers(p * p + 1, 16))),
+       pprec=st.integers(1, 8), udeg=st.integers(1, 6))
+def test_lubin_tate_matches_fraction_oracle_property(p_cap, pprec, udeg):
+    p, cap = p_cap
+    spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
+    assert lubin_tate_height2_law(spec, cap).F.terms == \
+        law_oracle.lubin_tate_height2_F(spec, cap).terms
+
+
+def test_non_integral_log_raises_integrality_failure():
+    # l = x + x^2/4 gives F = x + y - xy/2 + ..., not 2-integral
+    spec = CoeffRingSpec(p=2, p_precision=4)
+    with pytest.raises(IntegralityFailure, match=r"p=2, N=4, D=1, T=6"):
+        _law_from_log(spec, 6, {1: ([1], 0), 2: ([1], 2)}, 1, 1, "bad")

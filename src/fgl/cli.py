@@ -4,6 +4,8 @@ Every job is described by a flat JobSpec dict; identical specs produce
 byte-identical canonical-JSON outputs, which makes results content
 addressable: the suite caches records under sha256(canonical spec) and
 compares sha256(canonical outputs) digests against a committed baseline.
+A cached record is reused only when the code fingerprint it was written
+under (version plus a hash of the package sources) is the running one.
 Wall-clock duration is recorded for humans but kept out of digests and out
 of printed tables, so two runs of the same suite print identical bytes.
 
@@ -13,14 +15,15 @@ Exit codes: 0 success, 1 usage error, 2 mathematical check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import random
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .coeffring import CoeffRingSpec
@@ -33,7 +36,7 @@ from .deltaring import (
     sheaf_eval,
 )
 from .errors import BaselineMismatch, FGLError
-from .grouprings import AbelianPType, group_cohomology_ring, level_ring, quotient_to_level
+from .grouprings import AbelianPType, group_cohomology_ring, quotient_to_level
 from .laws import (
     FormalGroupLaw,
     additive_law,
@@ -57,6 +60,15 @@ def job_hash(job: dict) -> str:
 
 def outputs_digest(outputs: dict) -> str:
     return hashlib.sha256(canonical_json(outputs).encode()).hexdigest()
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """``__version__`` plus a sha256 of the package sources, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return f"{__version__}+{digest.hexdigest()}"
 
 
 def _build_law(job: dict) -> FormalGroupLaw:
@@ -126,6 +138,7 @@ def run_job(job: dict) -> dict:
         "outputs": outputs,
         "digest": outputs_digest(outputs),
         "version": __version__,
+        "fingerprint": code_fingerprint(),
         "duration_s": round(duration, 6),
     }
 
@@ -177,8 +190,7 @@ def _dispatch(command: str, job: dict) -> dict:
     if command == "level":
         law = _build_law(job)
         gtype = AbelianPType.parse(str(job["type"]))
-        alg = level_ring(law, gtype)
-        quotient_to_level(law, gtype)  # raises if any relation survives
+        alg = quotient_to_level(law, gtype).target  # raises if any relation survives
         out = alg.to_json()
         out.update({"command": command, "law": law.name, "p": law.spec.p,
                     "type": str(gtype), "dual_identified_with_group": True,
@@ -188,10 +200,10 @@ def _dispatch(command: str, job: dict) -> dict:
         law = _build_law(job)
         gtype = AbelianPType.parse(str(job["type"]))
         report = level_to_tate_map(law, gtype)
-        factors = factor_invertibility_check(law, gtype)
+        factors = factor_invertibility_check(report.euler, report.localized)
         euler_img = None
-        if gtype.is_cyclic and gtype.exponents[0] == 1:
-            euler_img = euler_image_in_level(law, gtype).to_json()
+        if gtype.exponents == (1,):
+            euler_img = euler_image_in_level(law, report.level).to_json()
         return {"command": command, "law": law.name, "p": law.spec.p,
                 "type": str(gtype), "levelRank": report.source_rank,
                 "tateRank": report.target_rank, "iso": report.bijective,
@@ -259,6 +271,8 @@ def _cache_load(cache: str, h: str) -> dict | None:
             record = json.load(fh)
         if record.get("hash") != h or "outputs" not in record:
             return None
+        if record.get("fingerprint") != code_fingerprint():
+            return None  # written by other code: recompute
         if record.get("digest") != outputs_digest(record["outputs"]):
             return None  # corrupted entry: recompute transparently
         return record
@@ -281,8 +295,8 @@ def _cache_store(cache: str, record: dict) -> None:
 
 
 def run_suite(config_path: str, baseline_path: str | None = None,
-              cache: str | None = None, workers: int = 1,
-              update_baseline: bool = False, out=sys.stdout) -> int:
+              cache: str | None = None, update_baseline: bool = False,
+              out=sys.stdout) -> int:
     with open(config_path, "r", encoding="utf-8") as fh:
         jobs = json.load(fh)
     if not isinstance(jobs, list):
@@ -298,11 +312,7 @@ def run_suite(config_path: str, baseline_path: str | None = None,
         _cache_store(cache, record)
         return record
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, jobs))
-    else:
-        records = [run_one(job) for job in jobs]
+    records = [run_one(job) for job in jobs]
 
     all_passed = True
     for record in records:
@@ -393,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--baseline")
     s.add_argument("--cache")
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--update-baseline", action="store_true")
 
     for name, sub in subs.choices.items():
@@ -423,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "suite":
         try:
-            return run_suite(args.config, baseline_path=args.baseline,
-                             cache=args.cache, workers=args.workers,
+            return run_suite(args.config, baseline_path=args.baseline, cache=args.cache,
                              update_baseline=args.update_baseline)
         except (FGLError, OSError, ValueError) as exc:
             print(f"fgl suite: {exc}", file=sys.stderr)

@@ -143,10 +143,6 @@ class CoeffElem:
         """Unit in the local ring: constant part not divisible by p."""
         return self.constant_part() % self.spec.p != 0
 
-    def residue_mod_p(self) -> int:
-        """Image in the residue field F_p (u-variables and p both killed)."""
-        return self.constant_part() % self.spec.p
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "CoeffElem") -> None:

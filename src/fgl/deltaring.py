@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import NotAFrobeniusLift, TruncationTooSmall
-from .grouprings import FiniteAlgebra
 from .series import TruncSeries
 
 
@@ -212,16 +211,6 @@ class SheafValue:
     degree_bound: int | None
     generator_images: dict[str, TruncSeries]
 
-    def base_rank(self) -> int:
-        return self.base.rank if isinstance(self.base, FiniteAlgebra) else 1
-
-    def tensor_basis_size(self) -> int | None:
-        if self.degree_bound is None:
-            return None
-        k = len(self.ring.generators)
-        monos = _count_monomials(k, self.degree_bound)
-        return monos * self.base_rank()
-
     def apply_to_generator(self, g: str) -> TruncSeries:
         return self.generator_images[g]
 
@@ -234,16 +223,6 @@ class SheafValue:
             frobenius_power=self.frobenius_power + other.frobenius_power,
             degree_bound=self.degree_bound, generator_images=images,
         )
-
-
-def _count_monomials(k: int, bound: int) -> int:
-    if k == 0:
-        return 1
-    total = 0
-    from math import comb
-    for d in range(bound + 1):
-        total += comb(d + k - 1, k - 1)
-    return total
 
 
 def sheaf_eval(ring: DeltaRing, base, r: int, degree_bound: int | None = None) -> SheafValue:

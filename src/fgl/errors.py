@@ -35,6 +35,10 @@ class IntegralityFailure(FGLError):
     """A logarithm-built coefficient failed to be p-integral (internal bug)."""
 
 
+class InternalInconsistency(FGLError):
+    """A result broke an invariant that holds by construction (internal bug)."""
+
+
 class NonNilpotentArgument(FGLError):
     """Series substituted into a formal group law must have zero constant term."""
 
@@ -44,7 +48,7 @@ class NoUnitCoefficient(FGLError):
 
 
 class NonConvergence(FGLError):
-    """Weierstrass division failed to stabilize (precondition violation)."""
+    """An iteration (division, inversion, kernel chain) failed to stabilize."""
 
 
 class UnsupportedGroupType(FGLError):

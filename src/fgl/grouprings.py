@@ -237,9 +237,6 @@ class AlgebraSeriesDomain:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return self.alg.mul(a, b)
 

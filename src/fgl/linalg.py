@@ -7,10 +7,6 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[Fraction(0)] * cols for _ in range(rows)]
@@ -26,10 +22,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if bk[j] != 0:
                     oi[j] += c * bk[j]
     return out
-
-
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:

@@ -21,8 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import CoeffElem
-from .errors import ModeError, RelationNotKilled, UnsupportedGroupType
+from .coeffring import CoeffElem, CoeffRingSpec
+from .errors import (
+    InternalInconsistency,
+    ModeError,
+    NonConvergence,
+    RelationNotKilled,
+    UnsupportedGroupType,
+)
 from .grouprings import AbelianPType, FiniteAlgebra, group_cohomology_ring, level_ring
 from .laws import FormalGroupLaw
 from .linalg import Matrix, mat_mul, nullspace, rank, rref
@@ -65,8 +71,15 @@ def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
         factor = ambient.reduce_series(s)
         factors.append(factor)
         product = ambient.mul(product, factor)
-    assert len(factors) == gtype.order(p) - 1
+    if len(factors) != gtype.order(p) - 1:
+        raise InternalInconsistency(
+            f"euler_class: {len(factors)} factors for {gtype}, expected "
+            f"{gtype.order(p) - 1} ({_params(spec)})")
     return EulerClassData(ambient=ambient, factors=factors, product=product)
+
+
+def _params(spec: CoeffRingSpec) -> str:
+    return f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}"
 
 
 def _index_tuples(p: int, exponents: tuple[int, ...]):
@@ -152,7 +165,9 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
             break
         prev_dim = len(kernel)
         if iterations > n:
-            raise RuntimeError("kernel chain failed to stabilize within rank steps")
+            raise NonConvergence(
+                f"localization_kernel: kernel chain of a rank-{n} matrix failed to "
+                f"stabilize within {n} steps ({_params(alg.spec)})")
         power = mat_mul(power, M)
     kernel_rref, pivots = rref(kernel) if kernel else ([], [])
     loc = LocalizedRing(
@@ -162,7 +177,9 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     )
     # multiplication by e must be injective (so bijective) on the quotient
     if loc.quotient_rank and rank(loc.multiplication_matrix(e)) != loc.quotient_rank:
-        raise RuntimeError("multiplication by e is not injective on the quotient")
+        raise InternalInconsistency(
+            "localization_kernel: multiplication by e is not injective on the "
+            f"quotient ({_params(alg.spec)})")
     return loc
 
 
@@ -170,6 +187,7 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
 class LevelToTateReport:
     """Comparison of the level ring with the rational localized quotient."""
 
+    euler: EulerClassData
     level: FiniteAlgebra
     localized: LocalizedRing
     matrix: Matrix
@@ -181,6 +199,8 @@ class LevelToTateReport:
 def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateReport:
     """The x -> x map from the level ring into ambient/(eventual kernel).
 
+    Builds the Euler class, its localization and the level ring once each;
+    the report carries all three, so the later stages of a job reuse them.
     Well-definedness is checked (the level relation must project to zero)
     and the induced rational linear map is tested for bijectivity; no
     tolerances are involved.
@@ -209,7 +229,7 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     matrix = [[cols[j][i] for j in range(len(basis))] for i in range(q)]
     bijective = (level.rank == q) and (rank(matrix) == q)
     return LevelToTateReport(
-        level=level, localized=loc, matrix=matrix,
+        euler=ec, level=level, localized=loc, matrix=matrix,
         source_rank=level.rank, target_rank=q, bijective=bijective,
     )
 
@@ -224,35 +244,36 @@ class FactorReport:
         return all(self.invertible)
 
 
-def factor_invertibility_check(law: FormalGroupLaw, gtype: AbelianPType) -> FactorReport:
+def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> FactorReport:
     """Each Euler factor must act invertibly on the localized quotient.
 
-    This is the finite-rank shadow of 'inverting the product inverts each
-    factor': on ambient/(eventual kernel) every factor's multiplication
-    matrix must have full rank.
+    ``loc`` is the localization of ``euler.ambient`` at ``euler.product``,
+    as ``localization_kernel`` (or ``level_to_tate_map``) built it. This is
+    the finite-rank shadow of 'inverting the product inverts each factor':
+    on ambient/(eventual kernel) every factor's multiplication matrix must
+    have full rank.
     """
-    if not law.spec.exact:
-        raise ModeError("the factor check needs exact coefficients")
-    ec = euler_class(law, gtype)
-    loc = localization_kernel(ec.ambient, ec.product)
     results = []
-    for factor in ec.factors:
+    for factor in euler.factors:
         m = loc.multiplication_matrix(factor)
         results.append(rank(m) == loc.quotient_rank)
-    return FactorReport(factors_checked=len(ec.factors), invertible=results)
+    return FactorReport(factors_checked=len(euler.factors), invertible=results)
 
 
-def euler_image_in_level(law: FormalGroupLaw, gtype: AbelianPType) -> TruncSeries:
-    """The Euler class reduced into the level ring of C_p.
+def euler_image_in_level(law: FormalGroupLaw, level: FiniteAlgebra) -> TruncSeries:
+    """The Euler class reduced into ``level``, the level ring of C_p for ``law``.
 
-    For odd p this is the constant p (the product of the nonzero p-torsion
-    coordinates has the same norm as 1 - zeta_p); for p = 2 it is -2.
+    ``level`` must have one variable of lead degree p^n - 1 (n the height),
+    as ``level_ring(law, C_p)`` builds it. For odd p the image is the
+    constant p (the product of the nonzero p-torsion coordinates has the
+    same norm as 1 - zeta_p); for p = 2 it is -2.
     """
-    if not gtype.is_cyclic or gtype.exponents[0] != 1:
-        raise UnsupportedGroupType("the Euler image is computed for C_p only")
-    level = level_ring(law, gtype)
     p = law.spec.p
-    x1 = TruncSeries.variable(law.spec, level.variables, law.cap, "x1")
+    n = law.height_hint
+    if n is None or level.lead_degrees != (p ** n - 1,):
+        raise UnsupportedGroupType(
+            f"the Euler image is computed for C_p only, not for {level!r}")
+    x1 = TruncSeries.variable(law.spec, level.variables, law.cap, level.variables[0])
     product = level.one()
     for i in range(1, p):
         factor = law.n_series(i).series.subst({"x": x1})

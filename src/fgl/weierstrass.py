@@ -47,9 +47,6 @@ class CoeffDomain:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 

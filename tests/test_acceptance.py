@@ -24,9 +24,11 @@ from fgl.grouprings import AbelianPType, level_ring, quotient_to_level
 from fgl.laws import honda_law, lubin_tate_height2_law, multiplicative_law
 from fgl.series import TruncSeries
 from fgl.tate import (
+    euler_class,
     euler_image_in_level,
     factor_invertibility_check,
     level_to_tate_map,
+    localization_kernel,
 )
 from fgl.weierstrass import weierstrass_prepare
 
@@ -149,7 +151,9 @@ def test_criterion_6_factorwise_invertibility():
     for p in (2, 3):
         for m in (1, 2, 3):
             law = multiplicative_law(EXACT[p], p ** m + 2)
-            rep = factor_invertibility_check(law, AbelianPType((m,)))
+            ec = euler_class(law, AbelianPType((m,)))
+            rep = factor_invertibility_check(
+                ec, localization_kernel(ec.ambient, ec.product))
             assert rep.factors_checked == p ** m - 1
             assert rep.all_invertible
     report(6, "every Euler factor acts invertibly on the rational Tate "
@@ -157,12 +161,13 @@ def test_criterion_6_factorwise_invertibility():
 
 
 def test_criterion_7_euler_image_in_level():
-    img2 = euler_image_in_level(multiplicative_law(EXACT[2], 4), AbelianPType((1,)))
+    law2 = multiplicative_law(EXACT[2], 4)
+    img2 = euler_image_in_level(law2, level_ring(law2, AbelianPType((1,))))
     assert img2 == TruncSeries.constant(EXACT[2], ("x1",), None,
                                         CoeffElem.from_int(EXACT[2], -2))
     for p in (3, 5):
         law = multiplicative_law(EXACT[p], p + 2)
-        img = euler_image_in_level(law, AbelianPType((1,)))
+        img = euler_image_in_level(law, level_ring(law, AbelianPType((1,))))
         assert img == TruncSeries.constant(EXACT[p], ("x1",), None,
                                            CoeffElem.from_int(EXACT[p], p))
     report(7, "Euler image in the level ring is exactly p for p in {3,5} "

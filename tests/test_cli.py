@@ -1,9 +1,13 @@
 import io
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import fgl.cli
+import fgl.grouprings
+import fgl.tate
 from fgl.cli import job_hash, main, run_job, run_suite
 from fgl.errors import BaselineMismatch
 
@@ -163,12 +167,55 @@ def test_suite_baseline_roundtrip_and_mismatch(tmp_path):
         run_suite(config, baseline_path=str(baseline), cache=cache, out=io.StringIO())
 
 
-def test_suite_workers_match_serial(tmp_path):
+def test_suite_recomputes_records_of_other_code(tmp_path, monkeypatch):
     config = write_suite(tmp_path)
-    serial, parallel = io.StringIO(), io.StringIO()
-    run_suite(config, cache=str(tmp_path / "c1"), out=serial)
-    run_suite(config, cache=str(tmp_path / "c2"), workers=3, out=parallel)
-    assert serial.getvalue() == parallel.getvalue()
+    cache = tmp_path / "cache"
+    out1 = io.StringIO()
+    run_suite(config, cache=str(cache), out=out1)
+    original = fgl.cli.run_job
+    ran = []
+    monkeypatch.setattr(fgl.cli, "run_job", lambda job: ran.append(job) or original(job))
+    run_suite(config, cache=str(cache), out=io.StringIO())
+    assert ran == []  # same code: every record is replayed
+    monkeypatch.setattr(fgl.cli, "code_fingerprint", lambda: "0.0+other")
+    out2 = io.StringIO()
+    assert run_suite(config, cache=str(cache), out=out2) == 0
+    assert len(ran) == len(SMALL_SUITE)
+    assert out2.getvalue() == out1.getvalue()
+    assert all(json.loads(path.read_text())["fingerprint"] == "0.0+other"
+               for path in cache.glob("*.json"))
+
+
+def count_builds(monkeypatch, names) -> Counter:
+    """Count calls of each named function through every binding a job looks up."""
+    counts: Counter = Counter()
+    for module in (fgl.cli, fgl.grouprings, fgl.tate):
+        for name in names:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_tate_job_builds_each_ring_once(monkeypatch):
+    names = ("euler_class", "localization_kernel", "level_ring", "group_cohomology_ring")
+    counts = count_builds(monkeypatch, names)
+    record = run_job({"command": "tate", "law": "multiplicative", "p": 2, "type": "1"})
+    assert record["outputs"]["passed"]
+    assert counts == {name: 1 for name in names}
+
+
+def test_level_job_builds_each_ring_once(monkeypatch):
+    names = ("level_ring", "group_cohomology_ring")
+    counts = count_builds(monkeypatch, names)
+    record = run_job({"command": "level", "law": "multiplicative", "p": 2, "type": "2"})
+    assert record["outputs"]["rank"] == 2
+    assert counts == {name: 1 for name in names}
 
 
 def test_suite_cache_env_var(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import ModeError, UnsupportedGroupType
-from fgl.grouprings import AbelianPType, group_cohomology_ring
+from fgl.grouprings import AbelianPType, group_cohomology_ring, level_ring
 from fgl.laws import lubin_tate_height2_law, multiplicative_law
 from fgl.series import TruncSeries
 from fgl.tate import (
@@ -96,6 +96,9 @@ def test_level_to_tate_ranks_and_bijectivity():
             assert report.source_rank == expected
             assert report.target_rank == expected
             assert report.bijective
+            # the report carries the rings it built, for the later stages
+            assert report.localized.ambient is report.euler.ambient
+            assert report.localized.inverted is report.euler.product
 
 
 def test_level_to_tate_c2_is_rank_one():
@@ -113,7 +116,8 @@ def test_level_to_tate_needs_exact_mode():
 def test_factor_invertibility_cp_and_c4():
     for spec, p, m in ((ZX2, 2, 1), (ZX3, 3, 1), (ZX2, 2, 2), (ZX3, 3, 2)):
         law = law_for(spec, p, m)
-        report = factor_invertibility_check(law, AbelianPType((m,)))
+        ec = euler_class(law, AbelianPType((m,)))
+        report = factor_invertibility_check(ec, localization_kernel(ec.ambient, ec.product))
         assert report.factors_checked == p ** m - 1
         assert report.all_invertible
 
@@ -121,28 +125,28 @@ def test_factor_invertibility_cp_and_c4():
 def test_euler_image_in_level():
     # oracle: prod_{i=1..p-1} (zeta^i - 1) = (-1)^(p-1) Phi_p(1) = p for odd p,
     # and -2 for p = 2
-    img2 = euler_image_in_level(law_for(ZX2, 2, 1), AbelianPType((1,)))
+    law2 = law_for(ZX2, 2, 1)
+    img2 = euler_image_in_level(law2, level_ring(law2, AbelianPType((1,))))
     assert img2 == TruncSeries.constant(
         ZX2, ("x1",), None, CoeffElem.from_int(ZX2, -2))
     for spec, p in ((ZX3, 3), (ZX5, 5)):
         law = multiplicative_law(spec, p + 2)
-        img = euler_image_in_level(law, AbelianPType((1,)))
+        img = euler_image_in_level(law, level_ring(law, AbelianPType((1,))))
         assert img == TruncSeries.constant(
             spec, ("x1",), None, CoeffElem.from_int(spec, p))
 
 
 def test_euler_image_rejects_larger_groups():
+    law = law_for(ZX2, 2, 2)
+    level = level_ring(law, AbelianPType((2,)))
     with pytest.raises(UnsupportedGroupType):
-        euler_image_in_level(law_for(ZX2, 2, 2), AbelianPType((2,)))
+        euler_image_in_level(law, level)
 
 
 def test_euler_class_height2_structural():
     # at height 2 only structural facts are machine-checkable (the rational
     # coefficient ring is infinite-dimensional): the factor count is |A| - 1
     # and no factor collapses to zero in the ambient or level ring
-    from fgl.grouprings import level_ring
-    from fgl.laws import lubin_tate_height2_law
-
     law = lubin_tate_height2_law(LT2_SMALL, 24)
     for gtype in (AbelianPType((1,)), AbelianPType((1, 1))):
         ec = euler_class(law, gtype)

@@ -227,12 +227,14 @@ def _dispatch(command: str, job: dict) -> dict:
                                 default_p=int(job["p"]) if job.get("p") else None)
         r = int(job.get("r", 1))
         base = CoeffRingSpec(p=ring.p, p_precision=1)
-        sv = sheaf_eval(ring, base, r)
+        # r itself and every power the composition law below needs, each built once
+        values = {k: sheaf_eval(ring, base, k) for k in sorted({r, *range(5)})}
+        sv = values[r]
         comp_ok = True
         for r1 in range(0, 3):
             for r2 in range(0, 3):
-                left = sheaf_eval(ring, base, r1).compose(sheaf_eval(ring, base, r2))
-                right = sheaf_eval(ring, base, r1 + r2)
+                left = values[r1].compose(values[r2])
+                right = values[r1 + r2]
                 comp_ok = comp_ok and all(
                     left.apply_to_generator(g) == right.apply_to_generator(g)
                     for g in ring.generators

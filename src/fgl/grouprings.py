@@ -29,10 +29,12 @@ substitution only introduces lower variables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import (
+    InternalInconsistency,
     NonConvergence,
     NonExactDivision,
     NotAUnit,
@@ -172,6 +174,25 @@ class FiniteAlgebra:
     def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return self.reduce(a * b)
 
+    def multiplication_columns(self, f: TruncSeries) -> list[list[CoeffElem]]:
+        """Coordinates of f * b for each basis monomial b, in ``basis()`` order.
+
+        The companion-matrix walk: in graded order, f * x^a is x_j times the
+        already reduced f * x^(a - e_j), j the first index with a_j > 0, so
+        each column costs one shift and one short reduction. The relations
+        are triangular, so the reduction stays a short one for several
+        variables too.
+        """
+        basis = self.basis()
+        products = {basis[0]: self.reduce(f)}
+        for a in basis[1:]:
+            j = next(i for i, e in enumerate(a) if e)
+            prev = products[a[:j] + (a[j] - 1,) + a[j + 1:]]
+            shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in prev.terms.items()}
+            products[a] = self.reduce(
+                TruncSeries(self.spec, self.variables, None, shifted, _clean=True))
+        return [[products[a].coefficient(b) for b in basis] for a in basis]
+
     def coordinates(self, f: TruncSeries) -> list[CoeffElem]:
         red = self.reduce(f)
         return [red.coefficient(e) for e in self.basis()]
@@ -277,14 +298,7 @@ class AlgebraMap:
                 )
 
     def apply(self, f: TruncSeries) -> TruncSeries:
-        out = self.target.zero()
-        for expo, c in f.terms.items():
-            term = self.target.one().scale(c)
-            for name, k in zip(self.source.variables, expo):
-                for _ in range(k):
-                    term = term * self.images[name]
-            out = out + term
-        return self.target.reduce(out)
+        return self.target.reduce(f.subst(self.images))
 
     def __repr__(self) -> str:
         return f"AlgebraMap({self.label}: rank {self.source.rank} -> {self.target.rank})"
@@ -444,11 +458,14 @@ def _partial_algebra(spec, variables, relations, degrees, upto: int) -> FiniteAl
     """
     sub_vars = variables[:upto]
     sub_rels = []
-    for rel in relations[:upto]:
+    for i, rel in enumerate(relations[:upto]):
         terms = {}
         for expo, c in rel.terms.items():
             if any(expo[upto:]):
-                raise ValueError("relation involves a later variable")
+                raise InternalInconsistency(
+                    f"level ring stage {upto + 1}: relation {i + 1} involves "
+                    f"a variable after x{upto} (p={spec.p}, N={spec.p_precision}, "
+                    f"D={spec.u_degree_cap})")
             terms[expo[:upto]] = c
         sub_rels.append(TruncSeries(spec, sub_vars, None, terms, _clean=True))
     return FiniteAlgebra(spec, sub_vars, sub_rels, tuple(degrees[:upto]), label="partial")
@@ -461,39 +478,33 @@ def _n_series_in_variable(law: FormalGroupLaw, m: int, variables, j: int) -> Tru
     return law.n_series(m).series.subst({"x": xj})
 
 
+def character_sums(law: FormalGroupLaw, variables: list[TruncSeries],
+                   orders: list[int]) -> list[TruncSeries]:
+    """[a_1](x_1) +_F ... +_F [a_k](x_k) for every 0 <= a_i < orders[i].
+
+    ``variables`` are the series x_1..x_k (k >= 1) in one common ring. The
+    sums come in ``itertools.product`` order, so the zero tuple is first;
+    each is folded from the left, sharing the partial sums of its prefix.
+    """
+    multiples = [[law.n_series(a).series.subst({"x": x}) for a in range(order)]
+                 for x, order in zip(variables, orders)]
+    sums = multiples[0]
+    for row in multiples[1:]:
+        sums = [law.formal_sum(s, t) for s, t in itertools.product(sums, row)]
+    return sums
+
+
 def _denominator_product(law: FormalGroupLaw, variables, j: int) -> TruncSeries:
     """prod over (a_1..a_{j-1}) in F_p^{j-1} of (x_j -_F sum_F [a_i](x_i))."""
-    p = law.spec.p
     target = variables[:j]
     cap = law.cap
     spec = law.spec
     xj = TruncSeries.variable(spec, target, cap, variables[j - 1])
     lower_vars = [TruncSeries.variable(spec, target, cap, v) for v in target[:-1]]
-
-    multiples = []  # [a](x_i) for a in 0..p-1, per lower variable
-    for xi in lower_vars:
-        row = []
-        for a in range(p):
-            row.append(law.n_series(a).series.subst({"x": xi}))
-        multiples.append(row)
-
     out = TruncSeries.one(spec, target, cap)
-    for combo in _tuples(p, j - 1):
-        s = TruncSeries.zero(spec, target, cap)
-        for idx, a in enumerate(combo):
-            s = law.formal_sum(s, multiples[idx][a])
-        factor = law.formal_sum(xj, law.formal_inverse(s))
-        out = out * factor
+    for s in character_sums(law, lower_vars, [spec.p] * (j - 1)):
+        out = out * law.formal_sum(xj, law.formal_inverse(s))
     return out
-
-
-def _tuples(p: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(p, length - 1):
-        for a in range(p):
-            yield rest + (a,)
 
 
 def _series_to_algebra_useries(s: TruncSeries, partial: FiniteAlgebra, j: int) -> dict:

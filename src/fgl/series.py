@@ -12,7 +12,7 @@ honest polynomials (finite algebras, delta-rings).
 from __future__ import annotations
 
 from .coeffring import CoeffElem, CoeffRingSpec
-from .errors import NotAUnit, SpecMismatch
+from .errors import SpecMismatch
 
 Expo = tuple[int, ...]
 
@@ -160,38 +160,6 @@ class TruncSeries:
             if not v.is_zero():
                 terms[expo] = v
         return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
-
-    def shift_down(self, var_index: int, amount: int) -> "TruncSeries":
-        """Divide by x_i^amount, assuming every term is divisible."""
-        terms = {}
-        for expo, c in self.terms.items():
-            if expo[var_index] < amount:
-                raise ValueError("series not divisible by the requested power")
-            new = list(expo)
-            new[var_index] -= amount
-            terms[tuple(new)] = c
-        return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
-
-    def invert(self) -> "TruncSeries":
-        """Inverse of a series whose constant term is a unit.
-
-        Geometric series on the positive-degree part; terminates because
-        that part is nilpotent modulo the degree cap.
-        """
-        if self.cap is None:
-            raise NotAUnit("series inversion needs a finite degree cap")
-        c0 = self.constant_term()
-        c0_inv = c0.invert()  # raises NotAUnit when appropriate
-        one = TruncSeries.one(self.spec, self.variables, self.cap)
-        w = one - self.scale(c0_inv)
-        acc = one
-        power = one
-        for _ in range(1, self.cap):
-            power = power * w
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc.scale(c0_inv)
 
     # -- substitution -------------------------------------------------------
 

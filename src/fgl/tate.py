@@ -6,7 +6,8 @@ The Euler class of A = C_{p^m1} x ... x C_{p^mk} in its ambient ring is
     e = prod over (i_1..i_k) != (0..0), 0 <= i_j < p^mj
         of  [i_1](x_1) +_F ... +_F [i_k](x_k),
 
-one factor per nonzero character of A, so |A| - 1 factors in total.
+one factor per nonzero character of A, so |A| - 1 factors in total; the
+factors are ``grouprings.character_sums`` without its leading zero sum.
 
 Localization at e is modeled on the rational ambient algebra: multiplication
 by e is a linear endomorphism of a finite-dimensional Q-vector space, its
@@ -14,6 +15,10 @@ kernels ker(e) <= ker(e^2) <= ... stabilize, and A_Q[1/e] = A_Q / ker(e^oo)
 because e becomes injective, hence bijective, on the quotient. This is only
 honest over exact (rational) coefficients: inverting a p-adically small
 element at finite p-precision is ill-posed, so truncated rings are refused.
+
+Every matrix here (multiplication by e, the action of each factor on the
+quotient, the level-to-quotient map) is read off the columns of
+``FiniteAlgebra.multiplication_columns``, converted to rationals in one place.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import CoeffElem, CoeffRingSpec
+from .coeffring import CoeffRingSpec
 from .errors import (
     InternalInconsistency,
     ModeError,
@@ -29,7 +34,13 @@ from .errors import (
     RelationNotKilled,
     UnsupportedGroupType,
 )
-from .grouprings import AbelianPType, FiniteAlgebra, group_cohomology_ring, level_ring
+from .grouprings import (
+    AbelianPType,
+    FiniteAlgebra,
+    character_sums,
+    group_cohomology_ring,
+    level_ring,
+)
 from .laws import FormalGroupLaw
 from .linalg import Matrix, mat_mul, nullspace, rank, rref
 from .series import TruncSeries
@@ -48,28 +59,11 @@ def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
     ambient = group_cohomology_ring(law, gtype)
     p = law.spec.p
     spec = law.spec
-    cap = law.cap
-    variables = ambient.variables
-    xs = [TruncSeries.variable(spec, variables, cap, v) for v in variables]
-
-    # [a](x_j) for every needed multiple, reused across index tuples
-    multiples: list[list[TruncSeries]] = []
-    for j, m in enumerate(gtype.exponents):
-        row = []
-        for a in range(p ** m):
-            row.append(law.n_series(a).series.subst({"x": xs[j]}))
-        multiples.append(row)
-
-    factors = []
+    xs = [TruncSeries.variable(spec, ambient.variables, law.cap, v) for v in ambient.variables]
+    sums = character_sums(law, xs, [p ** m for m in gtype.exponents])
+    factors = [ambient.reduce_series(s) for s in sums[1:]]  # sums[0] is the zero tuple
     product = ambient.one()
-    for combo in _index_tuples(p, gtype.exponents):
-        if not any(combo):
-            continue
-        s = TruncSeries.zero(spec, variables, cap)
-        for j, a in enumerate(combo):
-            s = law.formal_sum(s, multiples[j][a])
-        factor = ambient.reduce_series(s)
-        factors.append(factor)
+    for factor in factors:
         product = ambient.mul(product, factor)
     if len(factors) != gtype.order(p) - 1:
         raise InternalInconsistency(
@@ -82,13 +76,12 @@ def _params(spec: CoeffRingSpec) -> str:
     return f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}"
 
 
-def _index_tuples(p: int, exponents: tuple[int, ...]):
-    if not exponents:
-        yield ()
-        return
-    for rest in _index_tuples(p, exponents[:-1]):
-        for a in range(p ** exponents[-1]):
-            yield rest + (a,)
+def _rational_columns(alg: FiniteAlgebra, f: TruncSeries) -> list[list[Fraction]]:
+    """The columns of multiplication by f on the monomial basis, over Q."""
+    if not alg.spec.exact:
+        raise ModeError("rational localization needs exact integer coefficients")
+    return [[Fraction(c.constant_part()) for c in col]
+            for col in alg.multiplication_columns(f)]
 
 
 @dataclass
@@ -116,42 +109,17 @@ class LocalizedRing:
                 v = [x - f * y for x, y in zip(v, row)]
         return [v[i] for i in self.free_coords]
 
-    def project_element(self, elem: TruncSeries) -> list[Fraction]:
-        return self.project(_rational_coordinates(self.ambient, elem))
-
     def multiplication_matrix(self, elem: TruncSeries) -> Matrix:
         """The induced action of ``elem`` on the quotient, as a q x q matrix."""
-        basis = self.ambient.basis()
-        cols = []
-        for i in self.free_coords:
-            mono = TruncSeries(
-                self.ambient.spec, self.ambient.variables, None,
-                {basis[i]: CoeffElem.one(self.ambient.spec)},
-            )
-            prod = self.ambient.mul(elem, mono)
-            cols.append(self.project_element(prod))
-        q = len(self.free_coords)
-        return [[cols[j][i] for j in range(q)] for i in range(q)]
-
-
-def _rational_coordinates(alg: FiniteAlgebra, elem: TruncSeries) -> list[Fraction]:
-    if not alg.spec.exact:
-        raise ModeError("rational localization needs exact integer coefficients")
-    return [Fraction(c.constant_part()) for c in alg.coordinates(elem)]
+        cols = _rational_columns(self.ambient, elem)
+        images = [self.project(cols[i]) for i in self.free_coords]
+        return [list(row) for row in zip(*images)]
 
 
 def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     """Stabilized kernel of multiplication by e and the quotient data."""
-    if not alg.spec.exact:
-        raise ModeError("rational localization needs exact integer coefficients")
     n = alg.rank
-    basis = alg.basis()
-    cols = []
-    for expo in basis:
-        mono = TruncSeries(alg.spec, alg.variables, None,
-                           {expo: CoeffElem.one(alg.spec)})
-        cols.append(_rational_coordinates(alg, alg.mul(e, mono)))
-    M: Matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+    M: Matrix = [list(row) for row in zip(*_rational_columns(alg, e))]
 
     power = M
     prev_dim = -1
@@ -214,19 +182,18 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     loc = localization_kernel(ambient, ec.product)
     level = level_ring(law, gtype)
 
+    # x -> x is well defined when every level relation projects to zero;
+    # column 0 of multiplication by rel, the image of 1, is rel itself
     for rel in level.relations:
-        image = loc.project_element(ambient.reduce(rel.rename(ambient.variables, cap=None)))
-        if any(c != 0 for c in image):
+        if any(loc.project(_rational_columns(ambient, rel)[0])):
             raise RelationNotKilled("level relation does not vanish in the localization")
 
-    basis = level.basis()
-    cols = []
-    for expo in basis:
-        mono = TruncSeries(ambient.spec, ambient.variables, None,
-                           {expo: CoeffElem.one(ambient.spec)})
-        cols.append(loc.project_element(mono))
+    # x -> x sends each level basis monomial to the same ambient monomial
+    index = {b: i for i, b in enumerate(ambient.basis())}
+    units = _rational_columns(ambient, ambient.one())
+    images = [loc.project(units[index[b]]) for b in level.basis()]
     q = loc.quotient_rank
-    matrix = [[cols[j][i] for j in range(len(basis))] for i in range(q)]
+    matrix = [list(row) for row in zip(*images)]
     bijective = (level.rank == q) and (rank(matrix) == q)
     return LevelToTateReport(
         euler=ec, level=level, localized=loc, matrix=matrix,

@@ -10,6 +10,7 @@ import fgl.grouprings
 import fgl.tate
 from fgl.cli import job_hash, main, run_job, run_suite
 from fgl.errors import BaselineMismatch
+from fgl.series import TruncSeries
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -216,6 +217,30 @@ def test_level_job_builds_each_ring_once(monkeypatch):
     record = run_job({"command": "level", "law": "multiplicative", "p": 2, "type": "2"})
     assert record["outputs"]["rank"] == 2
     assert counts == {name: 1 for name in names}
+
+
+@pytest.mark.parametrize("r", [3, 7])
+def test_sheaf_eval_job_builds_each_power_once(monkeypatch, r):
+    counts = count_builds(monkeypatch, ("sheaf_eval",))
+    record = run_job({"command": "sheaf-eval", "ring": "Z[t]; psi t -> t^2; p 2", "r": r})
+    assert record["outputs"]["passed"]
+    assert counts["sheaf_eval"] <= len({0, 1, 2, 3, 4, r})
+
+
+def test_level_relation_in_a_later_variable_exits_2(capsys, monkeypatch):
+    # a stage-1 relation that mentions x2 breaks the triangular presentation
+    partial = fgl.grouprings._partial_algebra
+
+    def corrupted(spec, variables, relations, degrees, upto):
+        later = TruncSeries.variable(spec, variables, None, variables[-1])
+        return partial(spec, variables, [relations[0] + later] + relations[1:], degrees, upto)
+
+    monkeypatch.setattr(fgl.grouprings, "_partial_algebra", corrupted)
+    code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
+                           "--pprec", "3", "--udeg", "2", "--trunc", "24")
+    assert code == 2
+    assert "InternalInconsistency" in err
+    assert "stage 2" in err and "p=2, N=3, D=2" in err
 
 
 def test_suite_cache_env_var(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from fgl.errors import NonExactDivision, TruncationTooSmall, UnsupportedGroupTyp
 from fgl.grouprings import (
     AbelianPType,
     AlgebraMap,
+    character_sums,
     group_cohomology_ring,
     level_ring,
     quotient_to_level,
@@ -202,3 +204,51 @@ def test_divisibility_shadow_order_p_points():
     x2 = TruncSeries.variable(LT2_SMALL, alg.variables, law.cap, "x2")
     two_at_x2 = two.subst({"x": x2})
     assert alg.reduce_series(two_at_x2).is_zero()
+
+
+def random_element(alg, rng) -> TruncSeries:
+    terms = {expo: CoeffElem.from_int(alg.spec, rng.randrange(-9, 10))
+             for expo in rng.sample(alg.basis(), k=min(3, alg.rank))}
+    return TruncSeries(alg.spec, alg.variables, None, terms)
+
+
+def assert_columns_match_products(alg, rng):
+    # oracle: one full product and reduction per basis monomial
+    last = alg.var(len(alg.variables) - 1)
+    unreduced = last * last * last * random_element(alg, rng)
+    for f in (alg.one(), last, random_element(alg, rng), unreduced):
+        expected = []
+        for b in alg.basis():
+            mono = TruncSeries(alg.spec, alg.variables, None, {b: CoeffElem.one(alg.spec)})
+            expected.append(alg.coordinates(alg.mul(f, mono)))
+        assert alg.multiplication_columns(f) == expected
+
+
+def test_multiplication_columns_on_ambient_rings():
+    rng = random.Random(5)
+    for spec, p, gtype in ((ZX2, 2, (3,)), (ZX3, 3, (2,)), (ZX2, 2, (1, 1))):
+        law = multiplicative_law(spec, p ** max(gtype) + 2)
+        assert_columns_match_products(group_cohomology_ring(law, AbelianPType(gtype)), rng)
+
+
+def test_multiplication_columns_on_triangular_level_rings():
+    rng = random.Random(6)
+    law = lubin_tate_height2_law(LT2_SMALL, 24)
+    for gtype in (AbelianPType((1,)), AbelianPType((1, 1))):
+        assert_columns_match_products(level_ring(law, gtype), rng)
+
+
+def test_character_sums_order_and_values():
+    # oracle: an explicit left fold of formal sums from zero, per index tuple
+    for law, orders in ((multiplicative_law(ZX3, 8), (3, 2)),
+                        (lubin_tate_height2_law(LT2_SMALL, 8), (2, 2))):
+        variables = ("x1", "x2")
+        xs = [TruncSeries.variable(law.spec, variables, law.cap, v) for v in variables]
+        sums = character_sums(law, xs, list(orders))
+        assert len(sums) == orders[0] * orders[1]
+        assert sums[0].is_zero()
+        for combo, got in zip(itertools.product(*map(range, orders)), sums, strict=True):
+            expected = TruncSeries.zero(law.spec, variables, law.cap)
+            for x, a in zip(xs, combo):
+                expected = law.formal_sum(expected, law.n_series(a).series.subst({"x": x}))
+            assert got == expected

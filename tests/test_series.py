@@ -1,11 +1,7 @@
-import pytest
-
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import NotAUnit
 from fgl.series import TruncSeries
 
 ZX = CoeffRingSpec(p=2, p_precision=None)
-Z16 = CoeffRingSpec(p=2, p_precision=4)
 
 
 def poly(spec, variables, cap, terms):
@@ -30,32 +26,6 @@ def test_substitution_matches_hand_expansion():
     got = f.subst({"x": t * t, "y": t + t * t})
     # t^2 + (t + t^2) + t^2(t + t^2) = t + 2t^2 + t^3 + t^4
     assert got == poly(ZX, ("t",), 5, {(1,): 1, (2,): 2, (3,): 1, (4,): 1})
-
-
-def test_invert_against_multiplication():
-    f = poly(Z16, ("x",), 8, {(0,): 3, (1,): 5, (3,): 2})
-    inv = f.invert()
-    assert f * inv == TruncSeries.one(Z16, ("x",), 8)
-
-
-def test_invert_needs_unit_constant_term():
-    f = poly(Z16, ("x",), 8, {(0,): 2, (1,): 1})
-    with pytest.raises(NotAUnit):
-        f.invert()
-
-
-def test_geometric_series_example():
-    # 1/(1 + x) = 1 - x + x^2 - x^3 + ... over exact integers
-    f = poly(ZX, ("x",), 5, {(0,): 1, (1,): 1})
-    expected = poly(ZX, ("x",), 5, {(0,): 1, (1,): -1, (2,): 1, (3,): -1, (4,): 1})
-    assert f.invert() == expected
-
-
-def test_shift_down():
-    f = poly(ZX, ("x",), 8, {(2,): 3, (5,): 7})
-    assert f.shift_down(0, 2) == poly(ZX, ("x",), 8, {(0,): 3, (3,): 7})
-    with pytest.raises(ValueError):
-        f.shift_down(0, 3)
 
 
 def test_homogeneous_part_and_valuation():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import fgl.grouprings
+
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import ModeError, UnsupportedGroupType
 from fgl.grouprings import AbelianPType, group_cohomology_ring, level_ring
@@ -156,3 +158,18 @@ def test_euler_class_height2_structural():
         level = level_ring(law, gtype)
         for f in ec.factors:
             assert not level.reduce(f.rename(level.variables, cap=None)).is_zero()
+
+
+def test_factor_invertibility_check_makes_no_algebra_products(monkeypatch):
+    # the factor matrices come from the companion-matrix walk, not from one
+    # FiniteAlgebra.mul per basis monomial
+    law = law_for(ZX3, 3, 2)
+    ec = euler_class(law, AbelianPType((2,)))
+    loc = localization_kernel(ec.ambient, ec.product)
+    calls = []
+    mul = fgl.grouprings.FiniteAlgebra.mul
+    monkeypatch.setattr(fgl.grouprings.FiniteAlgebra, "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    report = factor_invertibility_check(ec, loc)
+    assert report.all_invertible and report.factors_checked == 8
+    assert calls == []

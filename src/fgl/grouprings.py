@@ -15,7 +15,7 @@ an exact quotient of p-power series:
 * elementary abelian (C_p)^k with k <= n: triangular relations where the
   j-th divides [p](x_j) by the product of (x_j -_F sum of lower-variable
   multiples) over all F_p-combinations of x_1..x_(j-1), the division
-  performed over the partial quotient algebra.
+  performed in A_(j-1)[x_j]/(x_j^T), A_(j-1) the partial quotient algebra.
 
 Mixed types (e.g. C_{p^2} x C_p) are rejected: the divisor condition pins
 the ring down but not an explicit triangular generator list, and guessing
@@ -104,7 +104,10 @@ class FiniteAlgebra:
         for j, (rel, d) in enumerate(zip(self.relations, self.lead_degrees)):
             lead = tuple(d if i == j else 0 for i in range(len(self.variables)))
             if rel.coefficient(lead) != CoeffElem.one(spec):
-                raise ValueError(f"relation {j} is not monic of degree {d} in its variable")
+                raise InternalInconsistency(
+                    f"{label or 'finite algebra'}: relation {j + 1} is not monic of degree "
+                    f"{d} in its variable (p={spec.p}, N={spec.p_precision}, "
+                    f"D={spec.u_degree_cap})")
 
     @property
     def rank(self) -> int:
@@ -197,11 +200,6 @@ class FiniteAlgebra:
         red = self.reduce(f)
         return [red.coefficient(e) for e in self.basis()]
 
-    def element_is_unit(self, f: TruncSeries) -> bool:
-        """Unit test in the local algebra: scalar residue nonzero mod p."""
-        zero_expo = (0,) * len(self.variables)
-        return self.reduce(f).coefficient(zero_expo).is_unit()
-
     def invert_element(self, f: TruncSeries) -> TruncSeries:
         """Inverse of a unit: scalar part inverted, nilpotent part geometric."""
         red = self.reduce(f)
@@ -236,47 +234,6 @@ class FiniteAlgebra:
 
     def __repr__(self) -> str:
         return f"FiniteAlgebra({self.label or self.variables}, rank={self.rank})"
-
-
-class AlgebraSeriesDomain:
-    """Series-in-one-variable arithmetic with FiniteAlgebra coefficients.
-
-    Plugged into the Weierstrass engine for the triangular level-ring
-    divisions: the maximal ideal is (p, u-vars, x_1..x_(j-1)), so the unit
-    test is the scalar-residue test of the partial algebra.
-    """
-
-    def __init__(self, alg: FiniteAlgebra):
-        self.alg = alg
-
-    def zero(self):
-        return self.alg.zero()
-
-    def one(self):
-        return self.alg.one()
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return self.alg.mul(a, b)
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def is_unit(self, a) -> bool:
-        return self.alg.element_is_unit(a)
-
-    def invert(self, a):
-        return self.alg.invert_element(a)
-
-    def iteration_bound(self, cap: int) -> int:
-        spec = self.alg.spec
-        depth = (spec.p_precision or 1) + spec.u_degree_cap
-        return depth * (1 + sum(self.alg.lead_degrees)) + cap + 8
 
 
 class AlgebraMap:
@@ -424,25 +381,20 @@ def _level_ring_elementary(law: FormalGroupLaw, gtype: AbelianPType, n: int) -> 
     degrees.append(fact.degree)
 
     for j in range(2, k + 1):
-        partial = _partial_algebra(spec, variables, relations, degrees, j - 1)
-        domain = AlgebraSeriesDomain(partial)
-
-        denom = _denominator_product(law, variables, j)
-        f_terms = _series_to_algebra_useries(
-            _n_series_in_variable(law, p, variables, j - 1), partial, j - 1
-        )
-        d_terms = _series_to_algebra_useries(denom, partial, j - 1)
-        q_terms, r_terms = w_divide(f_terms, d_terms, domain, cap)
-        if any(not c.is_zero() for c in r_terms.values()):
+        ring = _partial_algebra(spec, variables, relations, degrees, j - 1, cap)
+        numer = ring.reduce_series(_n_series_in_variable(law, p, variables, j - 1))
+        denom = ring.reduce_series(_denominator_product(law, variables, j))
+        q, r = w_divide(numer, denom, ring)
+        if not r.is_zero():
             raise NonExactDivision(
                 f"[p](x{j}) is not exactly divisible by the level denominator "
                 f"(precision too small)"
             )
-        unit, dist, d = w_prepare(q_terms, domain, cap)
+        _, dist, d = w_prepare(q, ring)
         expected = p ** n - p ** (j - 1)
         if d != expected:
             raise NonExactDivision(f"stage-{j} degree {d}, expected {expected}")
-        relations.append(_flatten_algebra_useries(dist, partial, variables, j - 1))
+        relations.append(dist.rename(variables))
         degrees.append(d)
 
     alg = FiniteAlgebra(spec, variables, relations, tuple(degrees),
@@ -450,13 +402,13 @@ def _level_ring_elementary(law: FormalGroupLaw, gtype: AbelianPType, n: int) -> 
     return alg
 
 
-def _partial_algebra(spec, variables, relations, degrees, upto: int) -> FiniteAlgebra:
-    """Quotient by the first ``upto`` relations, in the truncated variable list.
+def _partial_algebra(spec, variables, relations, degrees, upto: int, cap: int) -> FiniteAlgebra:
+    """A_upto[x_(upto+1)]/(x_(upto+1)^cap), A_upto the quotient by the first ``upto`` relations.
 
     Relations are stored over the full variable tuple with zero exponents on
     the not-yet-constructed variables, so projecting the exponents is safe.
     """
-    sub_vars = variables[:upto]
+    sub_vars = variables[:upto + 1]
     sub_rels = []
     for i, rel in enumerate(relations[:upto]):
         terms = {}
@@ -466,9 +418,12 @@ def _partial_algebra(spec, variables, relations, degrees, upto: int) -> FiniteAl
                     f"level ring stage {upto + 1}: relation {i + 1} involves "
                     f"a variable after x{upto} (p={spec.p}, N={spec.p_precision}, "
                     f"D={spec.u_degree_cap})")
-            terms[expo[:upto]] = c
+            terms[expo[:upto + 1]] = c
         sub_rels.append(TruncSeries(spec, sub_vars, None, terms, _clean=True))
-    return FiniteAlgebra(spec, sub_vars, sub_rels, tuple(degrees[:upto]), label="partial")
+    x_cap = {(0,) * upto + (cap,): CoeffElem.one(spec)}
+    sub_rels.append(TruncSeries(spec, sub_vars, None, x_cap, _clean=True))
+    return FiniteAlgebra(spec, sub_vars, sub_rels, tuple(degrees[:upto]) + (cap,),
+                         label=f"level ring stage {upto + 1}")
 
 
 def _n_series_in_variable(law: FormalGroupLaw, m: int, variables, j: int) -> TruncSeries:
@@ -505,33 +460,6 @@ def _denominator_product(law: FormalGroupLaw, variables, j: int) -> TruncSeries:
     for s in character_sums(law, lower_vars, [spec.p] * (j - 1)):
         out = out * law.formal_sum(xj, law.formal_inverse(s))
     return out
-
-
-def _series_to_algebra_useries(s: TruncSeries, partial: FiniteAlgebra, j: int) -> dict:
-    """Split off x_{j+1} powers; reduce each coefficient into the partial algebra."""
-    buckets: dict[int, dict] = {}
-    for expo, c in s.terms.items():
-        e = expo[j]
-        rest = expo[:j]
-        buckets.setdefault(e, {})[rest] = c
-    out = {}
-    for e, terms in buckets.items():
-        poly = TruncSeries(partial.spec, partial.variables, None, terms, _clean=True)
-        red = partial.reduce(poly)
-        if not red.is_zero():
-            out[e] = red
-    return out
-
-
-def _flatten_algebra_useries(terms: dict, partial: FiniteAlgebra, variables, j: int) -> TruncSeries:
-    """Reassemble {x_{j+1}-degree: algebra element} into a flat polynomial."""
-    spec = partial.spec
-    flat = {}
-    for e, coeff in terms.items():
-        for expo, c in coeff.terms.items():
-            key = expo + (e,) + (0,) * (len(variables) - j - 1)
-            flat[key] = c
-    return TruncSeries(spec, variables, None, flat, _clean=True)
 
 
 def quotient_to_level(law: FormalGroupLaw, gtype: AbelianPType) -> AlgebraMap:

@@ -16,14 +16,15 @@ because e becomes injective, hence bijective, on the quotient. This is only
 honest over exact (rational) coefficients: inverting a p-adically small
 element at finite p-precision is ill-posed, so truncated rings are refused.
 
-Every matrix here (multiplication by e, the action of each factor on the
-quotient, the level-to-quotient map) is read off the columns of
-``FiniteAlgebra.multiplication_columns``, converted to rationals in one place.
+Both multiplication matrices here (by e, and the action of each factor on
+the quotient) are read off the columns of
+``FiniteAlgebra.multiplication_columns``, converted to rationals in one place;
+the level-to-quotient map projects coordinates and unit vectors directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffring import CoeffRingSpec
@@ -94,20 +95,27 @@ class LocalizedRing:
     kernel_pivots: list[int]
     quotient_rank: int
     iterations: int
+    free_coords: list[int] = field(init=False)
+    _free_rows: Matrix = field(init=False, repr=False)
 
-    @property
-    def free_coords(self) -> list[int]:
+    def __post_init__(self):
         pivots = set(self.kernel_pivots)
-        return [i for i in range(self.ambient.rank) if i not in pivots]
+        self.free_coords = [i for i in range(self.ambient.rank) if i not in pivots]
+        self._free_rows = [[row[i] for i in self.free_coords] for row in self.kernel_rref]
 
     def project(self, vec: list[Fraction]) -> list[Fraction]:
-        """Canonical quotient coordinates: eliminate kernel pivot columns."""
-        v = list(vec)
-        for row, c in zip(self.kernel_rref, self.kernel_pivots):
-            f = v[c]
+        """Canonical quotient coordinates: eliminate kernel pivot columns.
+
+        The kernel rows are fully reduced, so eliminating a row changes only
+        its own pivot entry and the free entries, and its multiplier is the
+        input's entry at that pivot; only the free entries are computed.
+        """
+        v = [vec[i] for i in self.free_coords]
+        for row, c in zip(self._free_rows, self.kernel_pivots):
+            f = vec[c]
             if f != 0:
                 v = [x - f * y for x, y in zip(v, row)]
-        return [v[i] for i in self.free_coords]
+        return v
 
     def multiplication_matrix(self, elem: TruncSeries) -> Matrix:
         """The induced action of ``elem`` on the quotient, as a q x q matrix."""
@@ -182,16 +190,15 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     loc = localization_kernel(ambient, ec.product)
     level = level_ring(law, gtype)
 
-    # x -> x is well defined when every level relation projects to zero;
-    # column 0 of multiplication by rel, the image of 1, is rel itself
+    # x -> x is well defined when every level relation projects to zero
     for rel in level.relations:
-        if any(loc.project(_rational_columns(ambient, rel)[0])):
+        if any(loc.project([Fraction(c.constant_part()) for c in ambient.coordinates(rel)])):
             raise RelationNotKilled("level relation does not vanish in the localization")
 
     # x -> x sends each level basis monomial to the same ambient monomial
     index = {b: i for i, b in enumerate(ambient.basis())}
-    units = _rational_columns(ambient, ambient.one())
-    images = [loc.project(units[index[b]]) for b in level.basis()]
+    images = [loc.project([Fraction(int(i == index[b])) for i in range(ambient.rank)])
+              for b in level.basis()]
     q = loc.quotient_rank
     matrix = [list(row) for row in zip(*images)]
     bijective = (level.rank == q) and (rank(matrix) == q)

@@ -1,10 +1,17 @@
-"""Weierstrass division and preparation for univariate series.
+"""Weierstrass division and preparation inside a finite algebra A[x]/(x^T).
 
-The engine works over any local-ring coefficient domain exposing ring
-operations plus a unit test and inversion; concrete domains are the
-coefficient ring itself (series in x over E_0) and, for triangular
-level-ring presentations, a finite free quotient algebra (series in x_j
-with coefficients in E_0[x_1..x_{j-1}]/(relations)).
+Series in x with coefficients in a local finite free algebra A, truncated
+at x^T, form a finite free algebra again: ``ring`` is a
+:class:`~fgl.grouprings.FiniteAlgebra` whose last variable is the series
+variable x and whose last relation is the monic x^T, so T is
+``ring.lead_degrees[-1]``. A is E0 itself for the univariate front end
+(series in x over the coefficient ring) and, for the triangular level-ring
+presentations, the partial quotient E0[x_1..x_(j-1)]/(relations) with
+x = x_j. All arithmetic is the ring's: products are ``ring.mul`` (which
+truncates at x^T by reducing with the last relation), "mod x^d" and
+"div x^d" split the terms on the last exponent, the x^k coefficient is a
+unit exactly when the (0,..,0,k) term is, and every series inverse is
+``ring.invert_element``.
 
 Division f = q g + r uses the classical fixed-point iteration: write
 g = v x^d + h with v(0) a unit and h of degree < d supported in the
@@ -12,182 +19,95 @@ maximal ideal, and iterate
 
     q  <-  v^{-1} * ((f - h q) div x^d),    r = (f - h q) mod x^d.
 
-Each step multiplies the previous discrepancy by h, so over a truncated
-ring the iterates stabilize after at most N + D steps (the maximal ideal
-is nilpotent there); over exact integers they stabilize when degrees
-collapse (v constant), and otherwise the iteration correctly fails with
-NonConvergence. At the fixed point the identity f = q g + r holds exactly
-in the working (truncated) ring, and the remainder is the truncation of
-its infinite-precision counterpart.
+Each step multiplies the previous discrepancy by h. Over a truncated
+coefficient ring the maximal ideal (p, u-vars, x_1..x_(j-1)) is nilpotent,
+so the iterates stabilize; over exact integers they stabilize when degrees
+collapse (v constant). The loop is capped at ((N or 1) + D) * (1 + sum of
+the lead degrees of A) + T + 8 steps and fails with NonConvergence beyond
+it. At the fixed point the identity f = q g + r holds exactly in the
+working (truncated) ring, and the remainder is the truncation of its
+infinite-precision counterpart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffring import CoeffElem, CoeffRingSpec
-from .errors import NoUnitCoefficient, NonConvergence, NotAUnit
+from .coeffring import CoeffElem
+from .errors import InternalInconsistency, NoUnitCoefficient, NonConvergence, SpecMismatch
 from .series import TruncSeries
 
-USeries = dict[int, object]
+
+def _split(f: TruncSeries, d: int) -> tuple[TruncSeries, TruncSeries]:
+    """(f div x^d, f mod x^d) on the last exponent."""
+    high, low = {}, {}
+    for e, c in f.terms.items():
+        if e[-1] >= d:
+            high[e[:-1] + (e[-1] - d,)] = c
+        else:
+            low[e] = c
+    return (TruncSeries(f.spec, f.variables, None, high, _clean=True),
+            TruncSeries(f.spec, f.variables, None, low, _clean=True))
 
 
-class CoeffDomain:
-    """Coefficient-ring arithmetic packaged for the generic engine."""
-
-    def __init__(self, spec: CoeffRingSpec):
-        self.spec = spec
-
-    def zero(self):
-        return CoeffElem.zero(self.spec)
-
-    def one(self):
-        return CoeffElem.one(self.spec)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def is_unit(self, a) -> bool:
-        return a.is_unit()
-
-    def invert(self, a):
-        return a.invert()
-
-    def iteration_bound(self, cap: int) -> int:
-        n = self.spec.p_precision or 0
-        return n + self.spec.u_degree_cap + cap + 8
+def degree_of_first_unit(f: TruncSeries, cap: int) -> int:
+    """Smallest k whose x^k coefficient, the (0,..,0,k) term, is a unit."""
+    units = [e[-1] for e, c in f.terms.items() if not any(e[:-1]) and c.is_unit()]
+    if not units:
+        raise NoUnitCoefficient(
+            f"no unit coefficient below degree {cap}; height undefined at this precision"
+        )
+    return min(units)
 
 
-# -- engine on plain {degree: coefficient} dicts -------------------------------
+def _params(ring) -> str:
+    spec = ring.spec
+    return (f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}, "
+            f"T={ring.lead_degrees[-1]}")
 
 
-def _clean(terms: USeries, domain, cap: int) -> USeries:
-    return {k: c for k, c in terms.items() if k < cap and not domain.is_zero(c)}
+def divide(f: TruncSeries, g: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries]:
+    """Weierstrass division of reduced elements of ``ring``: f = q g + r, deg r < d."""
+    cap = ring.lead_degrees[-1]
+    d = degree_of_first_unit(g, cap)
+    v, h = _split(g, d)
+    v_inv = ring.invert_element(v)
+    neg_h = -h
 
-
-def _add(a: USeries, b: USeries, domain, cap: int) -> USeries:
-    out = dict(a)
-    for k, c in b.items():
-        if k in out:
-            s = domain.add(out[k], c)
-            if domain.is_zero(s):
-                del out[k]
-            else:
-                out[k] = s
-        elif not domain.is_zero(c):
-            out[k] = c
-    return out
-
-
-def _mul(a: USeries, b: USeries, domain, cap: int) -> USeries:
-    out: USeries = {}
-    for i, ci in a.items():
-        for j, cj in b.items():
-            if i + j >= cap:
-                continue
-            prod = domain.mul(ci, cj)
-            if domain.is_zero(prod):
-                continue
-            k = i + j
-            if k in out:
-                s = domain.add(out[k], prod)
-                if domain.is_zero(s):
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = prod
-    return out
-
-
-def _invert_series(v: USeries, domain, cap: int) -> USeries:
-    """Invert a series with unit constant coefficient (geometric series)."""
-    c0 = v.get(0)
-    if c0 is None or not domain.is_unit(c0):
-        raise NotAUnit("series constant term is not a unit")
-    c0_inv = domain.invert(c0)
-    # w = 1 - c0^{-1} v has positive valuation, so powers die at the cap
-    w: USeries = {}
-    for k, c in v.items():
-        if k == 0:
-            continue
-        w[k] = domain.neg(domain.mul(c0_inv, c))
-    acc: USeries = {0: domain.one()}
-    power: USeries = {0: domain.one()}
-    for _ in range(1, cap):
-        power = _mul(power, w, domain, cap)
-        if not power:
-            break
-        acc = _add(acc, power, domain, cap)
-    return {k: domain.mul(c, c0_inv) for k, c in acc.items()}
-
-
-def degree_of_first_unit(terms: USeries, domain, cap: int) -> int:
-    for k in sorted(terms):
-        if domain.is_unit(terms[k]):
-            return k
-    raise NoUnitCoefficient(
-        f"no unit coefficient below degree {cap}; height undefined at this precision"
-    )
-
-
-def divide(f: USeries, g: USeries, domain, cap: int) -> tuple[USeries, USeries]:
-    """Weierstrass division: f = q g + r with deg r < d, exact at precision."""
-    f = _clean(f, domain, cap)
-    g = _clean(g, domain, cap)
-    d = degree_of_first_unit(g, domain, cap)
-    v = {k - d: c for k, c in g.items() if k >= d}
-    h = {k: c for k, c in g.items() if k < d}
-    v_inv = _invert_series(v, domain, cap)
-    neg_h = {k: domain.neg(c) for k, c in h.items()}
-
-    q: USeries = {}
-    bound = domain.iteration_bound(cap)
+    spec = ring.spec
+    bound = (((spec.p_precision or 1) + spec.u_degree_cap)
+             * (1 + sum(ring.lead_degrees[:-1])) + cap + 8)
+    q = ring.zero()
     for _ in range(bound):
-        s = _add(f, _mul(neg_h, q, domain, cap), domain, cap)
-        s_high = {k - d: c for k, c in s.items() if k >= d}
-        q_next = _mul(v_inv, s_high, domain, cap)
+        s_high, r = _split(f + ring.mul(neg_h, q), d)
+        q_next = ring.mul(v_inv, s_high)
         if q_next == q:
-            r = {k: c for k, c in s.items() if k < d}
             return q, r
         q = q_next
     raise NonConvergence(
         f"division did not stabilize within {bound} iterations "
-        "(insufficient precision or a non-convergent exact-mode input)"
+        f"(insufficient precision or a non-convergent exact-mode input; {_params(ring)})"
     )
 
 
-def prepare(f: USeries, domain, cap: int) -> tuple[USeries, USeries, int]:
-    """Factor f = unit * distinguished; returns (unit, distinguished, d).
+def prepare(f: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries, int]:
+    """Factor a reduced element f = unit * distinguished; returns (unit, distinguished, d).
 
     Dividing x^d by f gives x^d = q f + r, so q f = x^d - r =: P; q has unit
     constant coefficient, hence u = q^{-1} and f = u P. Distinguishedness of
     P (non-leading coefficients in the maximal ideal) is verified.
     """
-    f = _clean(f, domain, cap)
-    d = degree_of_first_unit(f, domain, cap)
-    q, r = divide({d: domain.one()}, f, domain, cap)
-    dist: USeries = {d: domain.one()}
-    for k, c in r.items():
-        neg = domain.neg(c)
-        if not domain.is_zero(neg):
-            dist[k] = neg
-    for k, c in dist.items():
-        if k < d and domain.is_unit(c):
-            raise NonConvergence(
-                "prepared factor is not distinguished (internal error)"
-            )
-    unit = _invert_series(q, domain, cap)
-    return unit, dist, d
+    d = degree_of_first_unit(f, ring.lead_degrees[-1])
+    x_d = TruncSeries(ring.spec, ring.variables, None,
+                      {(0,) * (len(ring.variables) - 1) + (d,): CoeffElem.one(ring.spec)},
+                      _clean=True)
+    q, r = divide(x_d, f, ring)
+    dist = x_d - r
+    if any(not any(e[:-1]) and e[-1] < d and c.is_unit() for e, c in dist.terms.items()):
+        raise InternalInconsistency(
+            f"weierstrass.prepare: prepared factor is not distinguished ({_params(ring)})"
+        )
+    return ring.invert_element(q), dist, d
 
 
 # -- TruncSeries front end ---------------------------------------------------
@@ -204,42 +124,47 @@ class WeierstrassFactorization:
 
 def _require_univariate(f: TruncSeries) -> None:
     if len(f.variables) != 1:
-        raise ValueError("Weierstrass operations need univariate series")
+        raise SpecMismatch("Weierstrass operations need univariate series")
     if f.cap is None:
-        raise ValueError("Weierstrass operations need a finite degree cap")
+        raise SpecMismatch("Weierstrass operations need a finite degree cap")
 
 
-def _to_useries(f: TruncSeries) -> USeries:
-    return {expo[0]: c for expo, c in f.terms.items()}
+def _series_ring(f: TruncSeries):
+    """E0[x]/(x^T) for the series ring of f, T its degree cap."""
+    from .grouprings import FiniteAlgebra
+
+    x_cap = TruncSeries(f.spec, f.variables, None, {(f.cap,): CoeffElem.one(f.spec)},
+                        _clean=True)
+    return FiniteAlgebra(f.spec, f.variables, [x_cap], (f.cap,), label="E0[x]/(x^T)")
 
 
-def _from_useries(terms: USeries, model: TruncSeries) -> TruncSeries:
-    return TruncSeries(
-        model.spec, model.variables, model.cap,
-        {(k,): c for k, c in terms.items()}, _clean=True,
-    )
+def _lift(f: TruncSeries) -> TruncSeries:
+    """f as an element of E0[x]/(x^T): its terms already lie below x^T."""
+    return TruncSeries(f.spec, f.variables, None, f.terms, _clean=True)
+
+
+def _capped(f: TruncSeries, model: TruncSeries) -> TruncSeries:
+    return TruncSeries(model.spec, model.variables, model.cap, f.terms, _clean=True)
 
 
 def weierstrass_degree(f: TruncSeries) -> int:
     """Smallest d whose x^d coefficient is a unit mod (p, u-variables)."""
     _require_univariate(f)
-    return degree_of_first_unit(_to_useries(f), CoeffDomain(f.spec), f.cap)
+    return degree_of_first_unit(f, f.cap)
 
 
 def weierstrass_divide(f: TruncSeries, g: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
     _require_univariate(f)
     _require_univariate(g)
     if f.spec != g.spec or f.variables != g.variables or f.cap != g.cap:
-        raise ValueError("dividend and divisor live in different series rings")
-    q, r = divide(_to_useries(f), _to_useries(g), CoeffDomain(f.spec), f.cap)
-    return _from_useries(q, f), _from_useries(r, f)
+        raise SpecMismatch("dividend and divisor live in different series rings")
+    q, r = divide(_lift(f), _lift(g), _series_ring(f))
+    return _capped(q, f), _capped(r, f)
 
 
 def weierstrass_prepare(f: TruncSeries) -> WeierstrassFactorization:
     _require_univariate(f)
-    unit, dist, d = prepare(_to_useries(f), CoeffDomain(f.spec), f.cap)
+    unit, dist, d = prepare(_lift(f), _series_ring(f))
     return WeierstrassFactorization(
-        unit=_from_useries(unit, f),
-        distinguished=_from_useries(dist, f),
-        degree=d,
+        unit=_capped(unit, f), distinguished=_capped(dist, f), degree=d,
     )

@@ -231,9 +231,9 @@ def test_level_relation_in_a_later_variable_exits_2(capsys, monkeypatch):
     # a stage-1 relation that mentions x2 breaks the triangular presentation
     partial = fgl.grouprings._partial_algebra
 
-    def corrupted(spec, variables, relations, degrees, upto):
+    def corrupted(spec, variables, relations, degrees, *args):
         later = TruncSeries.variable(spec, variables, None, variables[-1])
-        return partial(spec, variables, [relations[0] + later] + relations[1:], degrees, upto)
+        return partial(spec, variables, [relations[0] + later] + relations[1:], degrees, *args)
 
     monkeypatch.setattr(fgl.grouprings, "_partial_algebra", corrupted)
     code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",

@@ -5,10 +5,16 @@ import pytest
 import sympy
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import NonExactDivision, TruncationTooSmall, UnsupportedGroupType
+from fgl.errors import (
+    InternalInconsistency,
+    NonExactDivision,
+    TruncationTooSmall,
+    UnsupportedGroupType,
+)
 from fgl.grouprings import (
     AbelianPType,
     AlgebraMap,
+    FiniteAlgebra,
     character_sums,
     group_cohomology_ring,
     level_ring,
@@ -252,3 +258,12 @@ def test_character_sums_order_and_values():
             for x, a in zip(xs, combo):
                 expected = law.formal_sum(expected, law.n_series(a).series.subst({"x": x}))
             assert got == expected
+
+
+def test_non_monic_relation_is_internal_inconsistency():
+    spec = CoeffRingSpec(p=2, p_precision=4)
+    rel = TruncSeries(spec, ("x",), None, {(1,): CoeffElem.one(spec),
+                                           (2,): CoeffElem.from_int(spec, 2)})
+    with pytest.raises(InternalInconsistency) as info:
+        FiniteAlgebra(spec, ("x",), [rel], (2,), label="Level(1)")
+    assert "Level(1)" in str(info.value) and "p=2, N=4" in str(info.value)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,20 @@ def test_factor_invertibility_check_makes_no_algebra_products(monkeypatch):
     report = factor_invertibility_check(ec, loc)
     assert report.all_invertible and report.factors_checked == 8
     assert calls == []
+
+
+def test_project_matches_full_elimination():
+    # oracle: eliminate every kernel row from the whole vector, then keep the
+    # free coordinates
+    rng = random.Random(17)
+    for spec, p, m in ((ZX3, 3, 2), (ZX2, 2, 3)):
+        ec = euler_class(law_for(spec, p, m), AbelianPType((m,)))
+        loc = localization_kernel(ec.ambient, ec.product)
+        assert loc.kernel_pivots
+        for _ in range(10):
+            vec = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                   for _ in range(ec.ambient.rank)]
+            full = list(vec)
+            for row, c in zip(loc.kernel_rref, loc.kernel_pivots):
+                full = [x - full[c] * y for x, y in zip(full, row)]
+            assert loc.project(vec) == [full[i] for i in loc.free_coords]

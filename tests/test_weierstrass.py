@@ -3,11 +3,16 @@ from math import comb
 
 import pytest
 
+import fgl.weierstrass
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import NoUnitCoefficient
+from fgl.errors import InternalInconsistency, NoUnitCoefficient, SpecMismatch
+from fgl.grouprings import AbelianPType, _denominator_product, _partial_algebra, level_ring
 from fgl.laws import lubin_tate_height2_law, multiplicative_law
 from fgl.series import TruncSeries
 from fgl.weierstrass import (
+    degree_of_first_unit,
+    divide,
+    prepare,
     weierstrass_degree,
     weierstrass_divide,
     weierstrass_prepare,
@@ -17,6 +22,7 @@ ZX2 = CoeffRingSpec(p=2, p_precision=None)
 ZX3 = CoeffRingSpec(p=3, p_precision=None)
 Z2_4 = CoeffRingSpec(p=2, p_precision=4)
 LT2_SPEC = CoeffRingSpec(p=2, p_precision=8, deformation_params=1, u_degree_cap=6)
+LT2_SMALL = CoeffRingSpec(p=2, p_precision=3, deformation_params=1, u_degree_cap=2)
 
 
 def poly(spec, cap, terms):
@@ -163,3 +169,66 @@ def test_lubin_tate_prepared_low_coefficients_cap_independent():
             assert lin.constant_part() % (2 ** M) == 0
             assert lin.constant_part() % (2 ** (M + 1)) != 0
             assert all(c % (2 ** M) == 0 for c in lin.terms.values())
+
+
+def test_front_end_rejects_non_univariate_or_uncapped_series():
+    bivariate = TruncSeries.variable(Z2_4, ("x", "y"), 8, "x")
+    with pytest.raises(SpecMismatch):
+        weierstrass_degree(bivariate)
+    with pytest.raises(SpecMismatch):
+        weierstrass_prepare(TruncSeries.variable(Z2_4, ("x",), None, "x"))
+
+
+def test_divide_rejects_different_series_rings():
+    with pytest.raises(SpecMismatch):
+        weierstrass_divide(poly(Z2_4, 8, {3: 1}), poly(Z2_4, 9, {1: 2, 2: 1}))
+
+
+def test_prepare_not_distinguished_is_internal_inconsistency(monkeypatch):
+    # a division whose remainder has a unit constant term breaks the invariant
+    honest = fgl.weierstrass.divide
+
+    def broken(f, g, ring):
+        q, r = honest(f, g, ring)
+        return q, r - ring.one()
+
+    monkeypatch.setattr(fgl.weierstrass, "divide", broken)
+    with pytest.raises(InternalInconsistency) as info:
+        weierstrass_prepare(poly(Z2_4, 8, {1: 3, 2: 1}))
+    assert "weierstrass.prepare" in str(info.value)
+    assert "p=2, N=4" in str(info.value) and "T=8" in str(info.value)
+
+
+def stage_two_ring():
+    """A_1[x2]/(x2^24) for lubinTate2 (2, 3, 2) type 1,1, and the level denominator."""
+    law = lubin_tate_height2_law(LT2_SMALL, 24)
+    level = level_ring(law, AbelianPType((1, 1)))
+    ring = _partial_algebra(law.spec, level.variables, level.relations,
+                            level.lead_degrees, 1, law.cap)
+    return ring, ring.reduce_series(_denominator_product(law, level.variables, 2))
+
+
+def test_divide_with_algebra_coefficients():
+    # oracle: the division identity f = q g + r, remultiplied in the ring
+    ring, g = stage_two_ring()
+    d = degree_of_first_unit(g, 24)
+    assert d == 2  # one Weierstrass-degree-1 factor per a in F_2
+    rng = random.Random(41)
+    u = CoeffElem.u_var(LT2_SMALL, 1)
+    for _ in range(5):
+        terms = {expo: CoeffElem.from_int(LT2_SMALL, rng.randrange(8))
+                 + u * CoeffElem.from_int(LT2_SMALL, rng.randrange(8))
+                 for expo in rng.sample(ring.basis(), k=12)}
+        f = TruncSeries(LT2_SMALL, ring.variables, None, terms)
+        q, r = divide(f, g, ring)
+        assert ring.mul(q, g) + r == f
+        assert all(e[-1] < d for e in r.terms)
+
+
+def test_prepare_with_algebra_coefficients():
+    ring, g = stage_two_ring()
+    unit, dist, d = prepare(g, ring)
+    assert d == 2
+    assert ring.mul(unit, dist) == g
+    # monic of degree d in x2 over the stage-1 quotient
+    assert {e: c for e, c in dist.terms.items() if e[-1] >= d} == {(0, d): CoeffElem.one(LT2_SMALL)}

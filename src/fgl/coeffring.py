@@ -100,7 +100,7 @@ class CoeffElem:
             clean: dict[Monomial, int] = {}
             for mono, c in terms.items():
                 if len(mono) != spec.deformation_params:
-                    raise ValueError(f"monomial {mono} has wrong arity")
+                    raise SpecMismatch(f"monomial {mono} has wrong arity")
                 if sum(mono) >= spec.u_degree_cap:
                     continue
                 c = spec.reduce_int(c)
@@ -118,7 +118,7 @@ class CoeffElem:
     def u_var(cls, spec: CoeffRingSpec, index: int) -> "CoeffElem":
         """The deformation parameter u_{index} (1-based)."""
         if not 1 <= index <= spec.deformation_params:
-            raise ValueError(f"no deformation parameter u_{index}")
+            raise SpecMismatch(f"no deformation parameter u_{index}")
         mono = tuple(1 if i == index - 1 else 0 for i in range(spec.deformation_params))
         return cls(spec, {mono: 1})
 
@@ -272,16 +272,3 @@ class CoeffElem:
                 {"exps": list(mono), "coeff": str(c)} for mono, c in self.sorted_terms()
             ]
         }
-
-    @classmethod
-    def from_json(cls, spec: CoeffRingSpec, data: dict) -> "CoeffElem":
-        terms = {tuple(entry["exps"]): int(entry["coeff"]) for entry in data["monomials"]}
-        return cls(spec, terms)
-
-
-def reduce_from_exact(spec: CoeffRingSpec, value: "CoeffElem") -> CoeffElem:
-    """Push an exact-mode element into a truncated spec with the same p."""
-    if value.spec.p != spec.p:
-        raise SpecMismatch("primes differ")
-    zero = spec.zero_monomial()
-    return CoeffElem(spec, {zero: value.constant_part()})

@@ -113,9 +113,14 @@ class DeltaRing:
 
 
 def _power(a: TruncSeries, n: int) -> TruncSeries:
+    """a^n by repeated squaring (1 for n <= 0)."""
     out = TruncSeries.one(a.spec, a.variables, a.cap)
-    for _ in range(n):
-        out = out * a
+    while n > 0:
+        if n & 1:
+            out = out * a
+        n >>= 1
+        if n:
+            a = a * a
     return out
 
 

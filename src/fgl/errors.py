@@ -12,7 +12,8 @@ class FGLError(Exception):
 
 
 class SpecMismatch(FGLError):
-    """Operands belong to different coefficient rings."""
+    """An operand does not fit its ring: another coefficient ring, a wrong
+    arity, or a missing variable image."""
 
 
 class NotAUnit(FGLError):

@@ -1,23 +1,32 @@
-"""Exact linear algebra over the rationals (Fraction matrices as row lists)."""
+"""Exact linear algebra on integer matrices (row lists), without fractions.
+
+``rref`` is fraction-free Gauss-Jordan elimination with Bareiss' exact
+division (Bareiss, Math. Comp. 22, 1968): at the step with pivot a, after a
+previous pivot d, every other row becomes (a * row - row[c] * pivot_row) / d.
+Every entry then stays a minor of the input, so each division is exact, and
+all pivots of the result equal the last pivot a. The rows divided by a are
+the rational reduced row echelon form, so ranks and kernels over Q are read
+off integers.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int]]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]
+        oi = out[i]
         for k in range(inner):
             c = ai[k]
             if c == 0:
                 continue
             bk = b[k]
-            oi = out[i]
             for j in range(cols):
                 if bk[j] != 0:
                     oi[j] += c * bk[j]
@@ -25,23 +34,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [row[:] for row in matrix]
+    """Fraction-free reduced row echelon form and pivot column indices.
+
+    The nonzero rows come back with one common pivot value d (the last
+    pivot); dividing them by d gives the rational reduced row echelon form.
+    """
+    m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
+    d = 1
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        a, top = m[r][c], m[r]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and (f != 0 or a != d):
+                m[i] = [(a * x - f * y) // d for x, y in zip(m[i], top)]
+        d = a
         pivots.append(c)
         r += 1
         if r == rows:
@@ -54,18 +68,20 @@ def rank(matrix: Matrix) -> int:
 
 
 def nullspace(matrix: Matrix) -> Matrix:
-    """Basis of the right kernel, one vector per free column."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    """Basis of the right kernel: one primitive integer vector per free column,
+    positive at its free column."""
+    cols = len(matrix[0]) if matrix else 0
     red, pivots = rref(matrix)
+    d = red[0][pivots[0]] if pivots else 1
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
-        basis.append(v)
+        v = [0] * cols
+        v[free] = d
+        for row, c in zip(red, pivots):
+            v[c] = -row[free]
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append([x // g for x in v])
     return basis

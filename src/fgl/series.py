@@ -40,7 +40,7 @@ class TruncSeries:
             clean: dict[Expo, CoeffElem] = {}
             for expo, c in terms.items():
                 if len(expo) != len(self.variables):
-                    raise ValueError(f"exponent {expo} has wrong arity")
+                    raise SpecMismatch(f"exponent {expo} has wrong arity")
                 if cap is not None and sum(expo) >= cap:
                     continue
                 if not c.is_zero():
@@ -94,7 +94,7 @@ class TruncSeries:
     def coefficient_of_degree(self, degree: int) -> CoeffElem:
         """Univariate only: the coefficient of x^degree."""
         if len(self.variables) != 1:
-            raise ValueError("coefficient_of_degree needs a univariate series")
+            raise SpecMismatch("coefficient_of_degree needs a univariate series")
         return self.terms.get((degree,), CoeffElem.zero(self.spec))
 
     def degree(self) -> int:
@@ -174,7 +174,7 @@ class TruncSeries:
         """
         missing = [v for v in self.variables if v not in images]
         if missing:
-            raise ValueError(f"no image for variables {missing}")
+            raise SpecMismatch(f"no image for variables {missing}")
         model = images[self.variables[0]]
         target_spec = model.spec
         target_vars = model.variables

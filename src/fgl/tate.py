@@ -9,23 +9,30 @@ The Euler class of A = C_{p^m1} x ... x C_{p^mk} in its ambient ring is
 one factor per nonzero character of A, so |A| - 1 factors in total; the
 factors are ``grouprings.character_sums`` without its leading zero sum.
 
-Localization at e is modeled on the rational ambient algebra: multiplication
-by e is a linear endomorphism of a finite-dimensional Q-vector space, its
-kernels ker(e) <= ker(e^2) <= ... stabilize, and A_Q[1/e] = A_Q / ker(e^oo)
-because e becomes injective, hence bijective, on the quotient. This is only
-honest over exact (rational) coefficients: inverting a p-adically small
-element at finite p-precision is ill-posed, so truncated rings are refused.
+Localization at e is modeled on the rational ambient algebra. Let M be the
+integer matrix of multiplication by e on the monomial basis. Its kernels
+ker M <= ker M^2 <= ... stabilize at some k <= n, and for P = M^k Fitting's
+lemma splits Q^n = ker P (+) im P: e is nilpotent on the first summand and,
+since rank M^(k+1) = rank P, bijective on the second. The ring is
+commutative, so every multiplication commutes with P and keeps both
+summands. Hence A_Q[1/e] = A_Q / ker(e^oo) = A_Q / ker P, and v -> P v
+identifies it with im P as an A-module. Three rules follow, each a rank or
+a zero test on integers:
 
-Both multiplication matrices here (by e, and the action of each factor on
-the quotient) are read off the columns of
-``FiniteAlgebra.multiplication_columns``, converted to rationals in one place;
-the level-to-quotient map projects coordinates and unit vectors directly.
+- a relation r dies in the localization iff P r = 0;
+- an element f acts on the quotient with rank rank(M_f P);
+- the x -> x level map is bijective iff the level rank is q = n - dim ker P
+  and the P-columns of the level basis monomials have rank q.
+
+This is only honest over exact (integer) coefficients: inverting a
+p-adically small element at finite p-precision is ill-posed, so truncated
+rings are refused. Every multiplication matrix is read off
+``FiniteAlgebra.multiplication_columns`` in one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .coeffring import CoeffRingSpec
 from .errors import (
@@ -43,7 +50,7 @@ from .grouprings import (
     level_ring,
 )
 from .laws import FormalGroupLaw
-from .linalg import Matrix, mat_mul, nullspace, rank, rref
+from .linalg import Matrix, mat_mul, nullspace, rank
 from .series import TruncSeries
 
 
@@ -77,86 +84,48 @@ def _params(spec: CoeffRingSpec) -> str:
     return f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}"
 
 
-def _rational_columns(alg: FiniteAlgebra, f: TruncSeries) -> list[list[Fraction]]:
-    """The columns of multiplication by f on the monomial basis, over Q."""
+def _integer_matrix(alg: FiniteAlgebra, f: TruncSeries) -> Matrix:
+    """The integer matrix of multiplication by f on the monomial basis."""
     if not alg.spec.exact:
         raise ModeError("rational localization needs exact integer coefficients")
-    return [[Fraction(c.constant_part()) for c in col]
-            for col in alg.multiplication_columns(f)]
+    cols = alg.multiplication_columns(f)
+    return [[col[i].constant_part() for col in cols] for i in range(alg.rank)]
 
 
 @dataclass
 class LocalizedRing:
-    """ambient tensor Q modulo the eventual kernel of multiplication by e."""
+    """ambient tensor Q localized at e, modeled as the image of P = e^k."""
 
     ambient: FiniteAlgebra
     inverted: TruncSeries
-    kernel_rref: Matrix
-    kernel_pivots: list[int]
+    image: Matrix
     quotient_rank: int
     iterations: int
-    free_coords: list[int] = field(init=False)
-    _free_rows: Matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pivots = set(self.kernel_pivots)
-        self.free_coords = [i for i in range(self.ambient.rank) if i not in pivots]
-        self._free_rows = [[row[i] for i in self.free_coords] for row in self.kernel_rref]
-
-    def project(self, vec: list[Fraction]) -> list[Fraction]:
-        """Canonical quotient coordinates: eliminate kernel pivot columns.
-
-        The kernel rows are fully reduced, so eliminating a row changes only
-        its own pivot entry and the free entries, and its multiplier is the
-        input's entry at that pivot; only the free entries are computed.
-        """
-        v = [vec[i] for i in self.free_coords]
-        for row, c in zip(self._free_rows, self.kernel_pivots):
-            f = vec[c]
-            if f != 0:
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
 
     def multiplication_matrix(self, elem: TruncSeries) -> Matrix:
-        """The induced action of ``elem`` on the quotient, as a q x q matrix."""
-        cols = _rational_columns(self.ambient, elem)
-        images = [self.project(cols[i]) for i in self.free_coords]
-        return [list(row) for row in zip(*images)]
+        """``elem`` times P; its rank is the rank of ``elem`` on the quotient."""
+        return mat_mul(_integer_matrix(self.ambient, elem), self.image)
 
 
 def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
-    """Stabilized kernel of multiplication by e and the quotient data."""
+    """Stabilize the kernel chain of multiplication by e; P = e^k at the first
+    stable k. Stability (rank e^(k+1) = rank e^k) is itself the proof that e
+    is bijective on im P."""
     n = alg.rank
-    M: Matrix = [list(row) for row in zip(*_rational_columns(alg, e))]
-
-    power = M
-    prev_dim = -1
-    iterations = 0
-    kernel: Matrix = []
+    M = _integer_matrix(alg, e)
+    image, dim, iterations = M, len(nullspace(M)), 1
     while True:
-        kernel = nullspace(power)
-        iterations += 1
-        if len(kernel) == prev_dim:
-            iterations -= 1  # the last power only confirmed stabilization
+        power = mat_mul(image, M)
+        power_dim = len(nullspace(power))
+        if power_dim == dim:
             break
-        prev_dim = len(kernel)
+        image, dim, iterations = power, power_dim, iterations + 1
         if iterations > n:
             raise NonConvergence(
                 f"localization_kernel: kernel chain of a rank-{n} matrix failed to "
                 f"stabilize within {n} steps ({_params(alg.spec)})")
-        power = mat_mul(power, M)
-    kernel_rref, pivots = rref(kernel) if kernel else ([], [])
-    loc = LocalizedRing(
-        ambient=alg, inverted=e, kernel_rref=kernel_rref,
-        kernel_pivots=pivots, quotient_rank=n - len(pivots),
-        iterations=max(iterations, 1),
-    )
-    # multiplication by e must be injective (so bijective) on the quotient
-    if loc.quotient_rank and rank(loc.multiplication_matrix(e)) != loc.quotient_rank:
-        raise InternalInconsistency(
-            "localization_kernel: multiplication by e is not injective on the "
-            f"quotient ({_params(alg.spec)})")
-    return loc
+    return LocalizedRing(ambient=alg, inverted=e, image=image,
+                         quotient_rank=n - dim, iterations=iterations)
 
 
 @dataclass
@@ -173,13 +142,13 @@ class LevelToTateReport:
 
 
 def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateReport:
-    """The x -> x map from the level ring into ambient/(eventual kernel).
+    """The x -> x map from the level ring into the localization im P.
 
     Builds the Euler class, its localization and the level ring once each;
     the report carries all three, so the later stages of a job reuse them.
-    Well-definedness is checked (the level relation must project to zero)
-    and the induced rational linear map is tested for bijectivity; no
-    tolerances are involved.
+    Well-definedness is checked (P kills every level relation) and the map
+    is bijective when the level rank is q and the P-columns of the level
+    basis monomials (``matrix``) have rank q; no tolerances are involved.
     """
     if not law.spec.exact:
         raise ModeError("the rationalized comparison needs exact coefficients")
@@ -190,17 +159,17 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     loc = localization_kernel(ambient, ec.product)
     level = level_ring(law, gtype)
 
-    # x -> x is well defined when every level relation projects to zero
-    for rel in level.relations:
-        if any(loc.project([Fraction(c.constant_part()) for c in ambient.coordinates(rel)])):
-            raise RelationNotKilled("level relation does not vanish in the localization")
+    # x -> x is well defined when P kills every level relation
+    relations = [[c.constant_part() for c in ambient.coordinates(rel)]
+                 for rel in level.relations]
+    if any(map(any, mat_mul(loc.image, list(zip(*relations))))):
+        raise RelationNotKilled("level relation does not vanish in the localization")
 
-    # x -> x sends each level basis monomial to the same ambient monomial
+    # x -> x sends each level basis monomial b to the class of b, that is P b
     index = {b: i for i, b in enumerate(ambient.basis())}
-    images = [loc.project([Fraction(int(i == index[b])) for i in range(ambient.rank)])
-              for b in level.basis()]
+    columns = [index[b] for b in level.basis()]
+    matrix = [[row[i] for i in columns] for row in loc.image]
     q = loc.quotient_rank
-    matrix = [list(row) for row in zip(*images)]
     bijective = (level.rank == q) and (rank(matrix) == q)
     return LevelToTateReport(
         euler=ec, level=level, localized=loc, matrix=matrix,

@@ -1,14 +1,13 @@
-import random
-from fractions import Fraction
-
 import pytest
+import sympy
 
 import fgl.grouprings
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import ModeError, UnsupportedGroupType
-from fgl.grouprings import AbelianPType, group_cohomology_ring, level_ring
+from fgl.grouprings import AbelianPType, FiniteAlgebra, group_cohomology_ring, level_ring
 from fgl.laws import lubin_tate_height2_law, multiplicative_law
+from fgl.linalg import rank
 from fgl.series import TruncSeries
 from fgl.tate import (
     euler_class,
@@ -67,9 +66,19 @@ def test_localization_by_one_and_zero():
     alg = group_cohomology_ring(law, AbelianPType((1,)))
     loc1 = localization_kernel(alg, alg.one())
     assert loc1.quotient_rank == alg.rank
-    assert loc1.kernel_pivots == []
     loc0 = localization_kernel(alg, alg.zero())
     assert loc0.quotient_rank == 0
+
+
+def test_localization_of_a_non_reduced_ring():
+    # Q[x]/(x^2 (x - 1)) = Q[x]/(x^2) x Q: the kernel chain of x stabilizes at
+    # k = 2, and the localization at x is the factor Q, where x - 1 acts as 0
+    x = TruncSeries.variable(ZX2, ("x",), None, "x")
+    alg = FiniteAlgebra(ZX2, ("x",), [x * x * x - x * x], (3,))
+    loc = localization_kernel(alg, x)
+    assert (loc.iterations, loc.quotient_rank) == (2, 1)
+    assert rank(loc.multiplication_matrix(alg.one())) == 1
+    assert rank(loc.multiplication_matrix(x - alg.one())) == 0
 
 
 def test_localization_quotient_rank_cp():
@@ -176,18 +185,27 @@ def test_factor_invertibility_check_makes_no_algebra_products(monkeypatch):
     assert calls == []
 
 
-def test_project_matches_full_elimination():
-    # oracle: eliminate every kernel row from the whole vector, then keep the
-    # free coordinates
-    rng = random.Random(17)
-    for spec, p, m in ((ZX3, 3, 2), (ZX2, 2, 3)):
-        ec = euler_class(law_for(spec, p, m), AbelianPType((m,)))
-        loc = localization_kernel(ec.ambient, ec.product)
-        assert loc.kernel_pivots
-        for _ in range(10):
-            vec = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-                   for _ in range(ec.ambient.rank)]
-            full = list(vec)
-            for row, c in zip(loc.kernel_rref, loc.kernel_pivots):
-                full = [x - full[c] * y for x, y in zip(full, row)]
-            assert loc.project(vec) == [full[i] for i in loc.free_coords]
+def _sympy_matrix(alg, f):
+    # oracle: one full product and reduction per basis monomial
+    cols = []
+    for b in alg.basis():
+        mono = TruncSeries(alg.spec, alg.variables, None, {b: CoeffElem.one(alg.spec)})
+        cols.append([c.constant_part() for c in alg.coordinates(alg.mul(f, mono))])
+    return sympy.Matrix(cols).T
+
+
+@pytest.mark.parametrize("spec,p,m", [
+    (ZX2, 2, 1), (ZX2, 2, 2), (ZX2, 2, 3), (ZX3, 3, 1), (ZX3, 3, 2), (ZX5, 5, 1),
+])
+def test_fitting_rule_matches_sympy_quotient(spec, p, m):
+    # oracle: the quotient A_Q / K with K = ker(e^n) computed by sympy; f acts
+    # on it with rank rank([M_f | K]) - dim K
+    ec = euler_class(law_for(spec, p, m), AbelianPType((m,)))
+    alg = ec.ambient
+    loc = localization_kernel(alg, ec.product)
+    n = alg.rank
+    kernel = (_sympy_matrix(alg, ec.product) ** n).nullspace()
+    assert loc.quotient_rank == n - len(kernel)
+    for f in (ec.product, *ec.factors):
+        expected = sympy.Matrix.hstack(_sympy_matrix(alg, f), *kernel).rank() - len(kernel)
+        assert rank(loc.multiplication_matrix(f)) == expected

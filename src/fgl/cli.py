@@ -203,7 +203,7 @@ def _dispatch(command: str, job: dict) -> dict:
         factors = factor_invertibility_check(report.euler, report.localized)
         euler_img = None
         if gtype.exponents == (1,):
-            euler_img = euler_image_in_level(law, report.level).to_json()
+            euler_img = euler_image_in_level(report.euler, report.level).to_json()
         return {"command": command, "law": law.name, "p": law.spec.p,
                 "type": str(gtype), "levelRank": report.source_rank,
                 "tateRank": report.target_rank, "iso": report.bijective,

@@ -14,8 +14,15 @@ an exact quotient of p-power series:
   [p^m](x) / [p^(m-1)](x) (remainder checked to vanish);
 * elementary abelian (C_p)^k with k <= n: triangular relations where the
   j-th divides [p](x_j) by the product of (x_j -_F sum of lower-variable
-  multiples) over all F_p-combinations of x_1..x_(j-1), the division
-  performed in A_(j-1)[x_j]/(x_j^T), A_(j-1) the partial quotient algebra.
+  multiples) over all F_p-combinations of x_1..x_(j-1), and the first by x_1.
+
+Every relation, ambient or level, comes from one stage: in the stage ring
+A_(j-1)[x_j]/(x_j^T), A_(j-1) the quotient by the relations before it (E0
+itself for the first level relation and for every ambient one, whose
+relations are independent), [p^m](x_j) is divided by its denominator with
+``weierstrass.divide`` (ambient relations skip this), the quotient is
+factored with ``weierstrass.prepare``, and the distinguished factor, checked
+for its expected degree, is the relation.
 
 Mixed types (e.g. C_{p^2} x C_p) are rejected: the divisor condition pins
 the ring down but not an explicit triangular generator list, and guessing
@@ -44,9 +51,9 @@ from .errors import (
 )
 from .laws import FormalGroupLaw
 from .series import TruncSeries
+from .weierstrass import _params
 from .weierstrass import divide as w_divide
 from .weierstrass import prepare as w_prepare
-from .weierstrass import weierstrass_divide, weierstrass_prepare
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,11 @@ class FiniteAlgebra:
         return TruncSeries.variable(self.spec, self.variables, None, self.variables[j])
 
     def reduce(self, f: TruncSeries) -> TruncSeries:
-        """The unique representative supported on the monomial basis."""
+        """The unique representative supported on the monomial basis.
+
+        A capped series is read as the polynomial of its terms; the result
+        is cap-free.
+        """
         if f.variables != self.variables:
             f = f.rename(self.variables, cap=None)
         terms = dict(f.terms)
@@ -168,11 +179,6 @@ class FiniteAlgebra:
                     terms.pop(key, None)
                 else:
                     terms[key] = s
-
-    def reduce_series(self, s: TruncSeries) -> TruncSeries:
-        """Reduce a (capped) series into the algebra, dropping the cap."""
-        lifted = TruncSeries(self.spec, s.variables, None, dict(s.terms), _clean=True)
-        return self.reduce(lifted)
 
     def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return self.reduce(a * b)
@@ -278,128 +284,77 @@ def group_cohomology_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlg
     """The ambient ring with relations the prepared p-power series."""
     n = _height(law)
     p = law.spec.p
-    for m in gtype.exponents:
-        if law.cap <= p ** (m * n):
-            raise TruncationTooSmall(
-                f"cap {law.cap} cannot resolve degree p^(m n) = {p ** (m * n)}"
-            )
     variables = _variables(gtype.rank)
-    relations = []
-    degrees = []
+    label = f"E0(B[{gtype}])"
+    relations: list[TruncSeries] = []
+    degrees: list[int] = []
     for j, m in enumerate(gtype.exponents):
-        s = law.n_series(p ** m).series
-        fact = weierstrass_prepare(s)
-        rel = _into_variable(fact.distinguished, variables, j, law.spec)
-        relations.append(rel)
-        degrees.append(fact.degree)
-    alg = FiniteAlgebra(law.spec, variables, relations, tuple(degrees),
-                        label=f"E0(B[{gtype}])")
-    expected = 1
-    for m in gtype.exponents:
-        expected *= p ** (m * n)
-    if alg.rank != expected:
-        raise NonExactDivision(
-            f"ambient rank {alg.rank} differs from p^(n m) = {expected}"
-        )
-    return alg
-
-
-def _into_variable(s: TruncSeries, variables: tuple[str, ...], j: int,
-                   spec: CoeffRingSpec) -> TruncSeries:
-    """Move a univariate polynomial into slot j of a variable tuple, cap-free."""
-    terms = {}
-    k = len(variables)
-    for expo, c in s.terms.items():
-        key = tuple(expo[0] if i == j else 0 for i in range(k))
-        terms[key] = c
-    return TruncSeries(spec, variables, None, terms, _clean=True)
+        # the relations are independent, so each stage ring is E0[x_j]/(x_j^T)
+        ring = _partial_algebra(law.spec, variables[j:j + 1], [], [], 0, law.cap)
+        dist, d = _stage_relation(law, ring, p ** m, None, p ** (m * n), f"{label} stage {j + 1}")
+        relations.append(dist.rename(variables))
+        degrees.append(d)
+    return FiniteAlgebra(law.spec, variables, relations, tuple(degrees), label=label)
 
 
 def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
     """The level-structure ring, presented by exact p-power series quotients."""
     n = _height(law)
-    p = law.spec.p
-    if gtype.is_cyclic:
-        return _level_ring_cyclic(law, gtype, n)
-    if gtype.is_elementary_abelian:
-        if gtype.rank > n:
-            raise UnsupportedGroupType(
-                f"rank {gtype.rank} exceeds the height {n}; no level structures exist"
-            )
-        return _level_ring_elementary(law, gtype, n)
-    raise UnsupportedGroupType(
-        f"mixed type {gtype} is not supported (cyclic or elementary abelian only)"
-    )
-
-
-def _level_ring_cyclic(law: FormalGroupLaw, gtype: AbelianPType, n: int) -> FiniteAlgebra:
+    if not (gtype.is_cyclic or gtype.is_elementary_abelian):
+        raise UnsupportedGroupType(
+            f"mixed type {gtype} is not supported (cyclic or elementary abelian only)"
+        )
+    if gtype.rank > n:
+        raise UnsupportedGroupType(
+            f"rank {gtype.rank} exceeds the height {n}; no level structures exist"
+        )
     p = law.spec.p
     m = gtype.exponents[0]
-    if law.cap <= p ** (m * n):
-        raise TruncationTooSmall(
-            f"cap {law.cap} cannot resolve degree p^(m n) = {p ** (m * n)}"
-        )
-    numer = law.n_series(p ** m).series
-    denom = law.n_series(p ** (m - 1)).series
-    q, r = weierstrass_divide(numer, denom)
-    if not r.is_zero():
-        raise NonExactDivision(
-            f"[p^{m}] is not exactly divisible by [p^{m - 1}] at this precision"
-        )
-    fact = weierstrass_prepare(q)
-    expected = p ** (m * n) - p ** ((m - 1) * n)
-    if fact.degree != expected:
-        raise NonExactDivision(
-            f"level relation degree {fact.degree}, expected {expected}"
-        )
-    rel = _into_variable(fact.distinguished, ("x1",), 0, law.spec)
-    return FiniteAlgebra(law.spec, ("x1",), [rel], (fact.degree,),
-                         label=f"Level({gtype})")
-
-
-def _level_ring_elementary(law: FormalGroupLaw, gtype: AbelianPType, n: int) -> FiniteAlgebra:
-    p = law.spec.p
-    k = gtype.rank
-    cap = law.cap
-    spec = law.spec
-    variables = _variables(k)
-
-    p_series = law.n_series(p).series
-
+    variables = _variables(gtype.rank)
+    label = f"Level({gtype})"
     relations: list[TruncSeries] = []
     degrees: list[int] = []
-
-    # stage 1: [p](x1) / x1, a plain univariate division
-    x = law.x()
-    q, r = weierstrass_divide(p_series, x)
-    if not r.is_zero():
-        raise NonExactDivision("[p](x) is not divisible by x")
-    fact = weierstrass_prepare(q)
-    if fact.degree != p ** n - 1:
-        raise NonExactDivision(f"stage-1 degree {fact.degree}, expected {p ** n - 1}")
-    relations.append(_into_variable(fact.distinguished, variables, 0, spec))
-    degrees.append(fact.degree)
-
-    for j in range(2, k + 1):
-        ring = _partial_algebra(spec, variables, relations, degrees, j - 1, cap)
-        numer = ring.reduce_series(_n_series_in_variable(law, p, variables, j - 1))
-        denom = ring.reduce_series(_denominator_product(law, variables, j))
-        q, r = w_divide(numer, denom, ring)
-        if not r.is_zero():
-            raise NonExactDivision(
-                f"[p](x{j}) is not exactly divisible by the level denominator "
-                f"(precision too small)"
-            )
-        _, dist, d = w_prepare(q, ring)
-        expected = p ** n - p ** (j - 1)
-        if d != expected:
-            raise NonExactDivision(f"stage-{j} degree {d}, expected {expected}")
+    for j in range(1, gtype.rank + 1):
+        ring = _partial_algebra(law.spec, variables, relations, degrees, j - 1, law.cap)
+        if j == 1:
+            denom = _n_series_in_variable(law, p ** (m - 1), ring.variables)
+        else:
+            denom = _denominator_product(law, variables, j)
+        # the denominator has Weierstrass degree p^((m-1) n) at stage 1, p^(j-1) after
+        expected = p ** (m * n) - p ** ((m - 1) * n + j - 1)
+        dist, d = _stage_relation(law, ring, p ** m, denom, expected, f"{label} stage {j}")
         relations.append(dist.rename(variables))
         degrees.append(d)
+    return FiniteAlgebra(law.spec, variables, relations, tuple(degrees), label=label)
 
-    alg = FiniteAlgebra(spec, variables, relations, tuple(degrees),
-                        label=f"Level({gtype})")
-    return alg
+
+def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,
+                    denominator: TruncSeries | None, expected: int,
+                    stage: str) -> tuple[TruncSeries, int]:
+    """The distinguished factor of [m](x) / denominator in the stage ring A[x]/(x^T).
+
+    x is the last variable of ``ring``; with ``denominator`` None, [m](x)
+    itself is prepared. The cap T must exceed m^n, the Weierstrass degree of
+    [m](x) at height n, the division must be exact and the factor of degree
+    ``expected``; each failure names the stage and p, N, D, T.
+    """
+    cap, x = ring.lead_degrees[-1], ring.variables[-1]
+    if cap <= m ** law.height_hint:
+        raise TruncationTooSmall(
+            f"{stage}: cap {cap} cannot resolve the degree {m ** law.height_hint} "
+            f"of [{m}]({x}) ({_params(ring)})")
+    f = _n_series_in_variable(law, m, ring.variables)
+    if denominator is not None:
+        f, r = w_divide(f, ring.reduce(denominator), ring)
+        if not r.is_zero():
+            raise NonExactDivision(
+                f"{stage}: [{m}]({x}) is not exactly divisible by its "
+                f"denominator (precision too small; {_params(ring)})")
+    _, dist, d = w_prepare(f, ring)
+    if d != expected:
+        raise NonExactDivision(
+            f"{stage}: relation degree {d}, expected {expected} ({_params(ring)})")
+    return dist, d
 
 
 def _partial_algebra(spec, variables, relations, degrees, upto: int, cap: int) -> FiniteAlgebra:
@@ -407,6 +362,7 @@ def _partial_algebra(spec, variables, relations, degrees, upto: int, cap: int) -
 
     Relations are stored over the full variable tuple with zero exponents on
     the not-yet-constructed variables, so projecting the exponents is safe.
+    With ``upto`` = 0 it is E0[x]/(x^cap), x the first of ``variables``.
     """
     sub_vars = variables[:upto + 1]
     sub_rels = []
@@ -423,14 +379,14 @@ def _partial_algebra(spec, variables, relations, degrees, upto: int, cap: int) -
     x_cap = {(0,) * upto + (cap,): CoeffElem.one(spec)}
     sub_rels.append(TruncSeries(spec, sub_vars, None, x_cap, _clean=True))
     return FiniteAlgebra(spec, sub_vars, sub_rels, tuple(degrees[:upto]) + (cap,),
-                         label=f"level ring stage {upto + 1}")
+                         label=f"A_{upto}[{sub_vars[-1]}]/({sub_vars[-1]}^{cap})")
 
 
-def _n_series_in_variable(law: FormalGroupLaw, m: int, variables, j: int) -> TruncSeries:
-    """[m](x_{j+1}) as a series in variables x1..x_{j+1} with the law's cap."""
-    target = variables[: j + 1]
-    xj = TruncSeries.variable(law.spec, target, law.cap, variables[j])
-    return law.n_series(m).series.subst({"x": xj})
+def _n_series_in_variable(law: FormalGroupLaw, m: int, variables) -> TruncSeries:
+    """[m](x) in the last of ``variables``, cap-free: its terms copied into that slot."""
+    zeros = (0,) * (len(variables) - 1)
+    terms = {zeros + expo: c for expo, c in law.n_series(m).series.terms.items()}
+    return TruncSeries(law.spec, tuple(variables), None, terms, _clean=True)
 
 
 def character_sums(law: FormalGroupLaw, variables: list[TruncSeries],
@@ -491,9 +447,7 @@ def restriction_map(law: FormalGroupLaw, sub_exponent: int, super_exponent: int)
     restriction = AlgebraMap(
         big, small, {"x1": small.var(0)}, label=f"res C_p^{sub_exponent} < C_p^{super_exponent}"
     )
-    p_image = big.reduce_series(
-        _n_series_in_variable(law, law.spec.p, big.variables, 0)
-    )
+    p_image = big.reduce(_n_series_in_variable(law, law.spec.p, big.variables))
     inflation = AlgebraMap(
         small, big, {"x1": p_image}, label=f"inf C_p^{super_exponent} ->> C_p^{sub_exponent}"
     )

@@ -69,7 +69,7 @@ def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
     spec = law.spec
     xs = [TruncSeries.variable(spec, ambient.variables, law.cap, v) for v in ambient.variables]
     sums = character_sums(law, xs, [p ** m for m in gtype.exponents])
-    factors = [ambient.reduce_series(s) for s in sums[1:]]  # sums[0] is the zero tuple
+    factors = [ambient.reduce(s) for s in sums[1:]]  # sums[0] is the zero tuple
     product = ambient.one()
     for factor in factors:
         product = ambient.mul(product, factor)
@@ -203,22 +203,16 @@ def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> Fac
     return FactorReport(factors_checked=len(euler.factors), invertible=results)
 
 
-def euler_image_in_level(law: FormalGroupLaw, level: FiniteAlgebra) -> TruncSeries:
-    """The Euler class reduced into ``level``, the level ring of C_p for ``law``.
+def euler_image_in_level(euler: EulerClassData, level: FiniteAlgebra) -> TruncSeries:
+    """The Euler class of C_p carried into ``level``, the level ring of C_p.
 
-    ``level`` must have one variable of lead degree p^n - 1 (n the height),
-    as ``level_ring(law, C_p)`` builds it. For odd p the image is the
-    constant p (the product of the nonzero p-torsion coordinates has the
-    same norm as 1 - zeta_p); for p = 2 it is -2.
+    ``euler`` is ``euler_class(law, C_p)`` and ``level`` is
+    ``level_ring(law, C_p)``: one variable of lead degree p^n - 1 against
+    the ambient p^n. The quotient x -> x is a reduction. For odd p the image
+    is the constant p (the product of the nonzero p-torsion coordinates has
+    the same norm as 1 - zeta_p); for p = 2 it is -2.
     """
-    p = law.spec.p
-    n = law.height_hint
-    if n is None or level.lead_degrees != (p ** n - 1,):
+    if level.lead_degrees != (euler.ambient.rank - 1,):
         raise UnsupportedGroupType(
             f"the Euler image is computed for C_p only, not for {level!r}")
-    x1 = TruncSeries.variable(law.spec, level.variables, law.cap, level.variables[0])
-    product = level.one()
-    for i in range(1, p):
-        factor = law.n_series(i).series.subst({"x": x1})
-        product = level.mul(product, level.reduce_series(factor))
-    return level.reduce(product)
+    return level.reduce(euler.product)

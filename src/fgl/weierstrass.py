@@ -5,9 +5,9 @@ at x^T, form a finite free algebra again: ``ring`` is a
 :class:`~fgl.grouprings.FiniteAlgebra` whose last variable is the series
 variable x and whose last relation is the monic x^T, so T is
 ``ring.lead_degrees[-1]``. A is E0 itself for the univariate front end
-(series in x over the coefficient ring) and, for the triangular level-ring
-presentations, the partial quotient E0[x_1..x_(j-1)]/(relations) with
-x = x_j. All arithmetic is the ring's: products are ``ring.mul`` (which
+(series in x over the coefficient ring) and for the first stage of a group
+ring, and, for the later stages of the triangular level-ring presentations,
+the partial quotient E0[x_1..x_(j-1)]/(relations) with x = x_j. All arithmetic is the ring's: products are ``ring.mul`` (which
 truncates at x^T by reducing with the last relation), "mod x^d" and
 "div x^d" split the terms on the last exponent, the x^k coefficient is a
 unit exactly when the (0,..,0,k) term is, and every series inverse is

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 from collections import Counter
 
 import pytest
@@ -11,6 +12,9 @@ import fgl.tate
 from fgl.cli import job_hash, main, run_job, run_suite
 from fgl.errors import BaselineMismatch
 from fgl.series import TruncSeries
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -232,8 +236,10 @@ def test_level_relation_in_a_later_variable_exits_2(capsys, monkeypatch):
     partial = fgl.grouprings._partial_algebra
 
     def corrupted(spec, variables, relations, degrees, *args):
-        later = TruncSeries.variable(spec, variables, None, variables[-1])
-        return partial(spec, variables, [relations[0] + later] + relations[1:], degrees, *args)
+        if relations:
+            later = TruncSeries.variable(spec, variables, None, variables[-1])
+            relations = [relations[0] + later] + relations[1:]
+        return partial(spec, variables, relations, degrees, *args)
 
     monkeypatch.setattr(fgl.grouprings, "_partial_algebra", corrupted)
     code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
@@ -241,6 +247,15 @@ def test_level_relation_in_a_later_variable_exits_2(capsys, monkeypatch):
     assert code == 2
     assert "InternalInconsistency" in err
     assert "stage 2" in err and "p=2, N=3, D=2" in err
+
+
+def test_level_stage_failure_names_stage_and_precision(capsys):
+    # at T=10 the stage-2 division of [2](x2) by the level denominator leaves a remainder
+    code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
+                           "--pprec", "8", "--udeg", "6", "--trunc", "10")
+    assert code == 2
+    assert "NonExactDivision" in err
+    assert "stage 2" in err and "p=2, N=8, D=6, T=10" in err
 
 
 def test_suite_cache_env_var(tmp_path, monkeypatch):
@@ -264,3 +279,22 @@ def test_prepare_warns_when_precision_cannot_see_valuation(capsys):
                            "--M", "2", "--pprec", "2", "--udeg", "2", "--trunc", "20")
     assert code == 0
     assert "cannot distinguish" in json.loads(out)["warning"]
+
+
+def workload_group_ring_jobs() -> list:
+    """The groupring, level and tate jobs of the benchmark workloads that
+    suite/default.json does not run."""
+    suite = json.loads((ROOT / "suite" / "default.json").read_text())
+    params = []
+    for workload in ("tate_exact", "height2_modular"):
+        for job in json.loads((WORKLOADS / f"{workload}.json").read_text()):
+            if job["command"] in ("groupring", "level", "tate") and job not in suite:
+                job_id = f"{workload}-{job['command']}-{job['law']}-p{job['p']}-{job['type']}"
+                params.append(pytest.param(workload, job, id=job_id))
+    return params
+
+
+@pytest.mark.parametrize("workload, job", workload_group_ring_jobs())
+def test_workload_job_matches_committed_digest(workload, job):
+    expected = json.loads((WORKLOADS / f"{workload}.baseline.json").read_text())
+    assert run_job(job)["digest"] in expected

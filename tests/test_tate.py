@@ -138,21 +138,38 @@ def test_euler_image_in_level():
     # oracle: prod_{i=1..p-1} (zeta^i - 1) = (-1)^(p-1) Phi_p(1) = p for odd p,
     # and -2 for p = 2
     law2 = law_for(ZX2, 2, 1)
-    img2 = euler_image_in_level(law2, level_ring(law2, AbelianPType((1,))))
+    img2 = euler_image_in_level(euler_class(law2, AbelianPType((1,))),
+                                level_ring(law2, AbelianPType((1,))))
     assert img2 == TruncSeries.constant(
         ZX2, ("x1",), None, CoeffElem.from_int(ZX2, -2))
     for spec, p in ((ZX3, 3), (ZX5, 5)):
         law = multiplicative_law(spec, p + 2)
-        img = euler_image_in_level(law, level_ring(law, AbelianPType((1,))))
+        img = euler_image_in_level(euler_class(law, AbelianPType((1,))),
+                                   level_ring(law, AbelianPType((1,))))
         assert img == TruncSeries.constant(
             spec, ("x1",), None, CoeffElem.from_int(spec, p))
+
+
+@pytest.mark.parametrize("build, spec, cap", [
+    (multiplicative_law, CoeffRingSpec(p=7, p_precision=None), 9),
+    (lubin_tate_height2_law, LT2_SMALL, 24),
+])
+def test_euler_image_is_product_of_torsion_coordinates(build, spec, cap):
+    # oracle: prod_{i=1..p-1} [i](x1), each factor reduced into the level ring
+    law = build(spec, cap)
+    level = level_ring(law, AbelianPType((1,)))
+    x1 = TruncSeries.variable(law.spec, level.variables, law.cap, "x1")
+    product = level.one()
+    for i in range(1, law.spec.p):
+        product = level.mul(product, level.reduce(law.n_series(i).series.subst({"x": x1})))
+    assert euler_image_in_level(euler_class(law, AbelianPType((1,))), level) == product
 
 
 def test_euler_image_rejects_larger_groups():
     law = law_for(ZX2, 2, 2)
     level = level_ring(law, AbelianPType((2,)))
     with pytest.raises(UnsupportedGroupType):
-        euler_image_in_level(law, level)
+        euler_image_in_level(euler_class(law, AbelianPType((1,))), level)
 
 
 def test_euler_class_height2_structural():

@@ -71,51 +71,49 @@ def code_fingerprint() -> str:
     return f"{__version__}+{digest.hexdigest()}"
 
 
-def _build_law(job: dict) -> FormalGroupLaw:
+def _spec(job: dict) -> CoeffRingSpec:
+    """The coefficient ring of the job's law; lubinTate2 defaults to N = 8, D = 6."""
     name = job["law"]
     p = int(job["p"])
-    trunc = int(job["trunc"])
-    if name == "multiplicative":
-        pprec = job.get("pprec")
-        spec = CoeffRingSpec(p=p, p_precision=int(pprec) if pprec else None)
-        return multiplicative_law(spec, trunc)
-    if name == "additive":
-        pprec = job.get("pprec")
-        spec = CoeffRingSpec(p=p, p_precision=int(pprec) if pprec else None)
-        return additive_law(spec, trunc)
+    pprec = int(job["pprec"]) if job.get("pprec") else None
+    if name in ("multiplicative", "additive"):
+        return CoeffRingSpec(p=p, p_precision=pprec)
     if name == "honda":
-        height = int(job.get("height") or 1)
-        spec = CoeffRingSpec(p=p, p_precision=1)
-        return honda_law(spec, height, trunc)
+        return CoeffRingSpec(p=p, p_precision=1)
     if name == "lubinTate2":
-        spec = CoeffRingSpec(
-            p=p, p_precision=int(job.get("pprec") or 8),
-            deformation_params=1, u_degree_cap=int(job.get("udeg") or 6),
-        )
-        return lubin_tate_height2_law(spec, trunc)
+        return CoeffRingSpec(p=p, p_precision=pprec or 8, deformation_params=1,
+                             u_degree_cap=int(job.get("udeg") or 6))
     raise ValueError(f"unknown law {name!r} (choose from {', '.join(LAWS)})")
+
+
+def _build_law(job: dict) -> FormalGroupLaw:
+    spec, trunc = _spec(job), int(job["trunc"])
+    if job["law"] == "honda":
+        return honda_law(spec, int(job.get("height") or 1), trunc)
+    build = {"multiplicative": multiplicative_law, "additive": additive_law,
+             "lubinTate2": lubin_tate_height2_law}[job["law"]]
+    return build(spec, trunc)
 
 
 def _default_trunc(job: dict) -> int:
     command = job["command"]
-    name = job.get("law", "multiplicative")
-    p = int(job.get("p", 2))
-    n = 2 if name == "lubinTate2" else int(job.get("height") or 1)
     if command == "series":
         return max(16, int(job.get("m", 1)) + 2)
+    if command not in ("prepare", "groupring", "level", "tate"):
+        return 16
+    spec = _spec(job)
+    p = spec.p
+    # a deformation ring has height deformation_params + 1; otherwise the job says
+    n = spec.height if spec.deformation_params else int(job.get("height") or 1)
     if command == "prepare":
         return max(16, p ** (int(job.get("M", 1)) * n) + 4)
-    if command in ("groupring", "level", "tate"):
-        gtype = AbelianPType.parse(str(job.get("type", "1")))
-        need = max(p ** (m * n) for m in gtype.exponents) + 4
-        if command == "level" and name == "lubinTate2" and gtype.rank > 1:
-            # triangular divisions are exact once the cap clears the
-            # nilpotency depth of the stage-1 quotient
-            pprec = int(job.get("pprec") or 8)
-            udeg = int(job.get("udeg") or 6)
-            need = max(need, 6 * (pprec + udeg - 1))
-        return max(16, need)
-    return 16
+    gtype = AbelianPType.parse(str(job.get("type", "1")))
+    need = max(p ** (m * n) for m in gtype.exponents) + 4
+    if command == "level" and gtype.rank > 1 and not spec.exact:
+        # x_1^(p^n - 1) is in m = (p, u) on the stage-1 quotient and m^(N + D - 1) = 0,
+        # so the character sums [a](x_1) are exact once T reaches (p^n - 1)(N + D - 1)
+        need = max(need, (p ** n - 1) * (spec.p_precision + spec.u_degree_cap - 1))
+    return max(16, need)
 
 
 def _with_trunc(job: dict) -> dict:

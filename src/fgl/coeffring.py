@@ -72,6 +72,11 @@ class CoeffRingSpec:
     def zero_monomial(self) -> Monomial:
         return (0,) * self.deformation_params
 
+    def precision_label(self, cap: int | None) -> str:
+        """"p=.., N=.., D=..", and ", T=cap" when a series degree cap is given."""
+        label = f"p={self.p}, N={self.p_precision}, D={self.u_degree_cap}"
+        return label if cap is None else f"{label}, T={cap}"
+
     def reduce_int(self, value: int) -> int:
         """Canonical representative of an integer coefficient."""
         m = self.modulus

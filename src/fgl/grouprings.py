@@ -13,8 +13,13 @@ an exact quotient of p-power series:
 * cyclic C_{p^m}: the single relation is the prepared quotient
   [p^m](x) / [p^(m-1)](x) (remainder checked to vanish);
 * elementary abelian (C_p)^k with k <= n: triangular relations where the
-  j-th divides [p](x_j) by the product of (x_j -_F sum of lower-variable
-  multiples) over all F_p-combinations of x_1..x_(j-1), and the first by x_1.
+  first divides [p](x_1) by x_1 and the j-th [p](x_j) by the product of
+  (x_j - s) over the character sums s of x_1..x_(j-1) with F_p coefficients.
+  A subgroup divisor is fixed only up to a unit (Strickland, JPAA 121,
+  1997): x -_F s = F(x, i(s)) vanishes at x = s and has a unit x-linear
+  coefficient, so it is (x - s) times a unit. A unit in the denominator
+  scales the quotient by a unit, which leaves its distinguished factor, the
+  relation, unchanged: that factor is unique.
 
 Every relation, ambient or level, comes from one stage: in the stage ring
 A_(j-1)[x_j]/(x_j^T), A_(j-1) the quotient by the relations before it (E0
@@ -51,7 +56,6 @@ from .errors import (
 )
 from .laws import FormalGroupLaw
 from .series import TruncSeries
-from .weierstrass import _params
 from .weierstrass import divide as w_divide
 from .weierstrass import prepare as w_prepare
 
@@ -113,8 +117,7 @@ class FiniteAlgebra:
             if rel.coefficient(lead) != CoeffElem.one(spec):
                 raise InternalInconsistency(
                     f"{label or 'finite algebra'}: relation {j + 1} is not monic of degree "
-                    f"{d} in its variable (p={spec.p}, N={spec.p_precision}, "
-                    f"D={spec.u_degree_cap})")
+                    f"{d} in its variable ({spec.precision_label(None)})")
 
     @property
     def rank(self) -> int:
@@ -254,11 +257,11 @@ class AlgebraMap:
         self.target = target
         self.images = dict(images)
         self.label = label
-        for rel in source.relations:
+        for i, rel in enumerate(source.relations):
             if not self.apply(rel).is_zero():
                 raise RelationNotKilled(
-                    f"relation {rel!r} does not map to zero under {label or 'map'}"
-                )
+                    f"{label or 'map'}: relation {i + 1} of {source.label or 'the source'} "
+                    f"does not map to zero ({target.spec.precision_label(None)})")
 
     def apply(self, f: TruncSeries) -> TruncSeries:
         return self.target.reduce(f.subst(self.images))
@@ -316,10 +319,8 @@ def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
     degrees: list[int] = []
     for j in range(1, gtype.rank + 1):
         ring = _partial_algebra(law.spec, variables, relations, degrees, j - 1, law.cap)
-        if j == 1:
-            denom = _n_series_in_variable(law, p ** (m - 1), ring.variables)
-        else:
-            denom = _denominator_product(law, variables, j)
+        denom = (_n_series_in_variable(law, p ** (m - 1), ring.variables) if j == 1
+                 else _denominator_product(law, ring))
         # the denominator has Weierstrass degree p^((m-1) n) at stage 1, p^(j-1) after
         expected = p ** (m * n) - p ** ((m - 1) * n + j - 1)
         dist, d = _stage_relation(law, ring, p ** m, denom, expected, f"{label} stage {j}")
@@ -333,27 +334,29 @@ def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,
                     stage: str) -> tuple[TruncSeries, int]:
     """The distinguished factor of [m](x) / denominator in the stage ring A[x]/(x^T).
 
-    x is the last variable of ``ring``; with ``denominator`` None, [m](x)
-    itself is prepared. The cap T must exceed m^n, the Weierstrass degree of
-    [m](x) at height n, the division must be exact and the factor of degree
-    ``expected``; each failure names the stage and p, N, D, T.
+    x is the last variable of ``ring`` and ``denominator`` a reduced element
+    of it; with ``denominator`` None, [m](x) itself is prepared. The cap T
+    must exceed m^n, the Weierstrass degree of [m](x) at height n, the
+    division must be exact and the factor of degree ``expected``; each
+    failure names the stage and p, N, D, T.
     """
     cap, x = ring.lead_degrees[-1], ring.variables[-1]
+    params = ring.spec.precision_label(cap)
     if cap <= m ** law.height_hint:
         raise TruncationTooSmall(
             f"{stage}: cap {cap} cannot resolve the degree {m ** law.height_hint} "
-            f"of [{m}]({x}) ({_params(ring)})")
+            f"of [{m}]({x}) ({params})")
     f = _n_series_in_variable(law, m, ring.variables)
     if denominator is not None:
-        f, r = w_divide(f, ring.reduce(denominator), ring)
+        f, r = w_divide(f, denominator, ring)
         if not r.is_zero():
             raise NonExactDivision(
                 f"{stage}: [{m}]({x}) is not exactly divisible by its "
-                f"denominator (precision too small; {_params(ring)})")
+                f"denominator (precision too small; {params})")
     _, dist, d = w_prepare(f, ring)
     if d != expected:
         raise NonExactDivision(
-            f"{stage}: relation degree {d}, expected {expected} ({_params(ring)})")
+            f"{stage}: relation degree {d}, expected {expected} ({params})")
     return dist, d
 
 
@@ -372,8 +375,7 @@ def _partial_algebra(spec, variables, relations, degrees, upto: int, cap: int) -
             if any(expo[upto:]):
                 raise InternalInconsistency(
                     f"level ring stage {upto + 1}: relation {i + 1} involves "
-                    f"a variable after x{upto} (p={spec.p}, N={spec.p_precision}, "
-                    f"D={spec.u_degree_cap})")
+                    f"a variable after x{upto} ({spec.precision_label(cap)})")
             terms[expo[:upto + 1]] = c
         sub_rels.append(TruncSeries(spec, sub_vars, None, terms, _clean=True))
     x_cap = {(0,) * upto + (cap,): CoeffElem.one(spec)}
@@ -405,16 +407,18 @@ def character_sums(law: FormalGroupLaw, variables: list[TruncSeries],
     return sums
 
 
-def _denominator_product(law: FormalGroupLaw, variables, j: int) -> TruncSeries:
-    """prod over (a_1..a_{j-1}) in F_p^{j-1} of (x_j -_F sum_F [a_i](x_i))."""
-    target = variables[:j]
-    cap = law.cap
-    spec = law.spec
-    xj = TruncSeries.variable(spec, target, cap, variables[j - 1])
-    lower_vars = [TruncSeries.variable(spec, target, cap, v) for v in target[:-1]]
-    out = TruncSeries.one(spec, target, cap)
-    for s in character_sums(law, lower_vars, [spec.p] * (j - 1)):
-        out = out * law.formal_sum(xj, law.formal_inverse(s))
+def _denominator_product(law: FormalGroupLaw, ring: FiniteAlgebra) -> TruncSeries:
+    """prod over (a_1..a_(j-1)) in F_p^(j-1) of (x_j - sum_F [a_i](x_i)) in the stage ring.
+
+    ``ring`` is A_(j-1)[x_j]/(x_j^T); each character sum is reduced into it
+    and every product is ``ring.mul``.
+    """
+    xj = ring.var(len(ring.variables) - 1)
+    lower = [TruncSeries.variable(law.spec, ring.variables, law.cap, v)
+             for v in ring.variables[:-1]]
+    out = ring.one()
+    for s in character_sums(law, lower, [law.spec.p] * len(lower)):
+        out = ring.mul(out, xj - ring.reduce(s))
     return out
 
 
@@ -423,7 +427,7 @@ def quotient_to_level(law: FormalGroupLaw, gtype: AbelianPType) -> AlgebraMap:
     source = group_cohomology_ring(law, gtype)
     target = level_ring(law, gtype)
     images = {v: target.var(i) for i, v in enumerate(source.variables)}
-    return AlgebraMap(source, target, images, label=f"quotient {gtype}")
+    return AlgebraMap(source, target, images, label=f"quotient {gtype} at T={law.cap}")
 
 
 def restriction_map(law: FormalGroupLaw, sub_exponent: int, super_exponent: int) -> dict:

@@ -148,7 +148,7 @@ def multiplicative_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
     if spec.deformation_params != 0:
         raise SpecMismatch("multiplicative law needs deformation_params = 0")
     if cap < 3:
-        raise TruncationTooSmall("multiplicative law needs cap >= 3")
+        raise TruncationTooSmall(f"multiplicative law needs cap >= 3 ({spec.precision_label(cap)})")
     one = CoeffElem.one(spec)
     F = TruncSeries(spec, ("x", "y"), cap, {(1, 0): one, (0, 1): one, (1, 1): one})
     return FormalGroupLaw(spec, F, 1, "multiplicative")
@@ -157,7 +157,7 @@ def multiplicative_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
 def additive_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
     """F(x, y) = x + y."""
     if cap < 2:
-        raise TruncationTooSmall("additive law needs cap >= 2")
+        raise TruncationTooSmall(f"additive law needs cap >= 2 ({spec.precision_label(cap)})")
     one = CoeffElem.one(spec)
     F = TruncSeries(spec, ("x", "y"), cap, {(1, 0): one, (0, 1): one})
     return FormalGroupLaw(spec, F, None, "additive")
@@ -242,8 +242,7 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
     p = spec.p
 
     def fail(what: str) -> IntegralityFailure:
-        return IntegralityFailure(
-            f"{name}: {what} (p={p}, N={spec.p_precision}, D={width}, T={cap})")
+        return IntegralityFailure(f"{name}: {what} ({spec.precision_label(cap)})")
 
     def miller(c: list[Scaled], j: int, n: int) -> Scaled:
         # c holds [z^i] G^j for i < n; g_i = e_{i+1}
@@ -320,7 +319,8 @@ def honda_law(spec: CoeffRingSpec, n: int, cap: int) -> FormalGroupLaw:
     if spec.deformation_params != 0:
         raise SpecMismatch("honda law needs deformation_params = 0")
     if cap <= spec.p ** n:
-        raise TruncationTooSmall(f"cap must exceed p^n = {spec.p ** n}")
+        raise TruncationTooSmall(
+            f"cap must exceed p^n = {spec.p ** n} ({spec.precision_label(cap)})")
     # l(x) = sum_i x^(p^(n i)) / p^i
     log_coeffs: dict[int, Scaled] = {}
     k = 1
@@ -343,7 +343,8 @@ def lubin_tate_height2_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
     if spec.deformation_params != 1:
         raise SpecMismatch("height-2 law needs exactly one deformation parameter")
     if cap <= spec.p ** 2:
-        raise TruncationTooSmall(f"cap must exceed p^2 = {spec.p ** 2}")
+        raise TruncationTooSmall(
+            f"cap must exceed p^2 = {spec.p ** 2} ({spec.precision_label(cap)})")
     p = spec.p
     width = spec.u_degree_cap
     zero: Scaled = ([0] * width, 0)

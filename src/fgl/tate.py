@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffring import CoeffRingSpec
 from .errors import (
     InternalInconsistency,
     ModeError,
@@ -76,12 +75,8 @@ def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
     if len(factors) != gtype.order(p) - 1:
         raise InternalInconsistency(
             f"euler_class: {len(factors)} factors for {gtype}, expected "
-            f"{gtype.order(p) - 1} ({_params(spec)})")
+            f"{gtype.order(p) - 1} ({spec.precision_label(None)})")
     return EulerClassData(ambient=ambient, factors=factors, product=product)
-
-
-def _params(spec: CoeffRingSpec) -> str:
-    return f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}"
 
 
 def _integer_matrix(alg: FiniteAlgebra, f: TruncSeries) -> Matrix:
@@ -123,7 +118,7 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
         if iterations > n:
             raise NonConvergence(
                 f"localization_kernel: kernel chain of a rank-{n} matrix failed to "
-                f"stabilize within {n} steps ({_params(alg.spec)})")
+                f"stabilize within {n} steps ({alg.spec.precision_label(None)})")
     return LocalizedRing(ambient=alg, inverted=e, image=image,
                          quotient_rank=n - dim, iterations=iterations)
 

@@ -60,12 +60,6 @@ def degree_of_first_unit(f: TruncSeries, cap: int) -> int:
     return min(units)
 
 
-def _params(ring) -> str:
-    spec = ring.spec
-    return (f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}, "
-            f"T={ring.lead_degrees[-1]}")
-
-
 def divide(f: TruncSeries, g: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries]:
     """Weierstrass division of reduced elements of ``ring``: f = q g + r, deg r < d."""
     cap = ring.lead_degrees[-1]
@@ -86,7 +80,8 @@ def divide(f: TruncSeries, g: TruncSeries, ring) -> tuple[TruncSeries, TruncSeri
         q = q_next
     raise NonConvergence(
         f"division did not stabilize within {bound} iterations "
-        f"(insufficient precision or a non-convergent exact-mode input; {_params(ring)})"
+        f"(insufficient precision or a non-convergent exact-mode input; "
+        f"{spec.precision_label(cap)})"
     )
 
 
@@ -105,7 +100,8 @@ def prepare(f: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries, int]:
     dist = x_d - r
     if any(not any(e[:-1]) and e[-1] < d and c.is_unit() for e, c in dist.terms.items()):
         raise InternalInconsistency(
-            f"weierstrass.prepare: prepared factor is not distinguished ({_params(ring)})"
+            f"weierstrass.prepare: prepared factor is not distinguished "
+            f"({ring.spec.precision_label(ring.lead_degrees[-1])})"
         )
     return ring.invert_element(q), dist, d
 

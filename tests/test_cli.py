@@ -9,7 +9,7 @@ import pytest
 import fgl.cli
 import fgl.grouprings
 import fgl.tate
-from fgl.cli import job_hash, main, run_job, run_suite
+from fgl.cli import _default_trunc, job_hash, main, run_job, run_suite
 from fgl.errors import BaselineMismatch
 from fgl.series import TruncSeries
 
@@ -256,6 +256,23 @@ def test_level_stage_failure_names_stage_and_precision(capsys):
     assert code == 2
     assert "NonExactDivision" in err
     assert "stage 2" in err and "p=2, N=8, D=6, T=10" in err
+
+
+def test_law_cap_failure_names_precision(capsys):
+    code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
+                           "--pprec", "8", "--udeg", "6", "--trunc", "4")
+    assert code == 2
+    assert "TruncationTooSmall" in err and "p=2, N=8, D=6, T=4" in err
+
+
+def test_level_default_cap_is_the_stage_one_nilpotency_depth():
+    # (p^n - 1)(N + D - 1): 3 * 13 at the lubinTate2 defaults N = 8, D = 6
+    assert _default_trunc({"command": "level", "law": "lubinTate2", "p": 2, "type": "1,1"}) == 39
+    job = {"command": "level", "law": "lubinTate2", "p": 3, "type": "1,1", "pprec": 2, "udeg": 2}
+    record = run_job(job)
+    assert record["job"]["trunc"] == 24
+    deeper = run_job({**job, "trunc": 24 + 12})
+    assert record["outputs"]["relations"] == deeper["outputs"]["relations"]
 
 
 def test_suite_cache_env_var(tmp_path, monkeypatch):

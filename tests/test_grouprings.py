@@ -8,6 +8,7 @@ from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import (
     InternalInconsistency,
     NonExactDivision,
+    RelationNotKilled,
     TruncationTooSmall,
     UnsupportedGroupType,
 )
@@ -15,6 +16,8 @@ from fgl.grouprings import (
     AbelianPType,
     AlgebraMap,
     FiniteAlgebra,
+    _denominator_product,
+    _partial_algebra,
     character_sums,
     group_cohomology_ring,
     level_ring,
@@ -23,6 +26,7 @@ from fgl.grouprings import (
 )
 from fgl.laws import lubin_tate_height2_law, multiplicative_law
 from fgl.series import TruncSeries
+from fgl.weierstrass import divide
 
 ZX2 = CoeffRingSpec(p=2, p_precision=None)
 ZX3 = CoeffRingSpec(p=3, p_precision=None)
@@ -267,3 +271,38 @@ def test_non_monic_relation_is_internal_inconsistency():
     with pytest.raises(InternalInconsistency) as info:
         FiniteAlgebra(spec, ("x",), [rel], (2,), label="Level(1)")
     assert "Level(1)" in str(info.value) and "p=2, N=4" in str(info.value)
+
+
+def test_unkilled_relation_names_map_index_and_precision():
+    ring = group_cohomology_ring(multiplicative_law(ZX2, 6), AbelianPType((2,)))
+    # x1 -> 1 sends [4](x1) = (1 + x1)^4 - 1 to 15
+    with pytest.raises(RelationNotKilled) as info:
+        AlgebraMap(ring, ring, {"x1": ring.one()}, label="x1 -> 1")
+    message = str(info.value)
+    assert "x1 -> 1" in message and "relation 1" in message and "p=2, N=None, D=1" in message
+
+
+def formal_inverse_denominator(law, ring: FiniteAlgebra) -> TruncSeries:
+    """Slow path: prod of (x_j -_F s) over the character sums s, each factor
+    through ``formal_inverse``, multiplied at total degree T, then reduced."""
+    cap, spec, variables = law.cap, law.spec, ring.variables
+    xj = TruncSeries.variable(spec, variables, cap, variables[-1])
+    lower = [TruncSeries.variable(spec, variables, cap, v) for v in variables[:-1]]
+    out = TruncSeries.one(spec, variables, cap)
+    for s in character_sums(law, lower, [spec.p] * len(lower)):
+        out = out * law.formal_sum(xj, law.formal_inverse(s))
+    return ring.reduce(out)
+
+
+@pytest.mark.parametrize("p, pprec, udeg, cap", [(2, 3, 2, 24), (2, 4, 2, 30), (3, 2, 2, 24)])
+def test_denominator_is_the_formal_inverse_one_up_to_a_unit(p, pprec, udeg, cap):
+    spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
+    law = lubin_tate_height2_law(spec, cap)
+    level = level_ring(law, AbelianPType((1, 1)))
+    ring = _partial_algebra(spec, level.variables, level.relations, level.lead_degrees, 1, cap)
+    fast = _denominator_product(law, ring)
+    slow = formal_inverse_denominator(law, ring)
+    q, r = divide(slow, fast, ring)
+    assert r.is_zero()
+    assert ring.mul(q, fast) == slow
+    assert q.coefficient((0, 0)).is_unit()

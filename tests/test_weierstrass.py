@@ -205,7 +205,7 @@ def stage_two_ring():
     level = level_ring(law, AbelianPType((1, 1)))
     ring = _partial_algebra(law.spec, level.variables, level.relations,
                             level.lead_degrees, 1, law.cap)
-    return ring, ring.reduce(_denominator_product(law, level.variables, 2))
+    return ring, _denominator_product(law, ring)
 
 
 def test_divide_with_algebra_coefficients():

@@ -36,7 +36,7 @@ from .deltaring import (
     sheaf_eval,
 )
 from .errors import BaselineMismatch, FGLError
-from .grouprings import AbelianPType, group_cohomology_ring, quotient_to_level
+from .grouprings import AbelianPType, group_cohomology_ring, quotient_to_level, stage_one_depth
 from .laws import (
     FormalGroupLaw,
     additive_law,
@@ -110,9 +110,7 @@ def _default_trunc(job: dict) -> int:
     gtype = AbelianPType.parse(str(job.get("type", "1")))
     need = max(p ** (m * n) for m in gtype.exponents) + 4
     if command == "level" and gtype.rank > 1 and not spec.exact:
-        # x_1^(p^n - 1) is in m = (p, u) on the stage-1 quotient and m^(N + D - 1) = 0,
-        # so the character sums [a](x_1) are exact once T reaches (p^n - 1)(N + D - 1)
-        need = max(need, (p ** n - 1) * (spec.p_precision + spec.u_degree_cap - 1))
+        need = max(need, stage_one_depth(spec, n))
     return max(16, need)
 
 

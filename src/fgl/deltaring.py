@@ -125,7 +125,7 @@ def _power(a: TruncSeries, n: int) -> TruncSeries:
 
 
 def _all_divisible(a: TruncSeries, p: int) -> bool:
-    return all(c % p == 0 for elem in a.terms.values() for c in elem.terms.values())
+    return all(c % p == 0 for elem in a.terms.values() for c in elem.terms)
 
 
 def _divide_terms_by_p(a: TruncSeries) -> TruncSeries:
@@ -264,7 +264,7 @@ def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,
         diff = lhs - rhs
         # a (x) s mod p only sees coefficients mod p, uniformly in s
         for expo, c in diff.terms.items():
-            if any(v % p for v in c.terms.values()):
+            if any(v % p for v in c.terms):
                 failures.append(f"sample {i} at monomial {expo}")
                 break
     return {"passed": not failures, "checked": len(samples),

@@ -220,11 +220,10 @@ class FiniteAlgebra:
         w = self.one() - self.reduce(red.scale(s_inv))
         if w.is_zero():
             return self.one().scale(s_inv)
-        acc = self.one()
-        power = self.one()
-        spec = self.spec
-        bound = 4 * self.rank * ((spec.p_precision or 1) + spec.u_degree_cap + 1)
-        for _ in range(bound):
+        acc = power = self.one()
+        # a nilpotent w has w^rank in (p, u) (mod (p, u) it is a nilpotent rank x rank
+        # matrix) and (p, u)^(N + D - 1) = 0; over Z a nilpotent w has w^rank = 0 itself
+        for _ in range(self.rank * ((self.spec.p_precision or 1) + self.spec.u_degree_cap - 1)):
             power = self.mul(power, w)
             if power.is_zero():
                 return self.reduce(acc.scale(s_inv))
@@ -311,14 +310,18 @@ def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
         raise UnsupportedGroupType(
             f"rank {gtype.rank} exceeds the height {n}; no level structures exist"
         )
-    p = law.spec.p
+    spec, p = law.spec, law.spec.p
     m = gtype.exponents[0]
     variables = _variables(gtype.rank)
     label = f"Level({gtype})"
+    depth = 0 if gtype.rank == 1 or spec.exact else stage_one_depth(spec, n)
+    if law.cap < depth:
+        raise TruncationTooSmall(f"{label} stage 2: cap {law.cap} is below the stage-1 "
+                                 f"nilpotency depth {depth} ({spec.precision_label(law.cap)})")
     relations: list[TruncSeries] = []
     degrees: list[int] = []
     for j in range(1, gtype.rank + 1):
-        ring = _partial_algebra(law.spec, variables, relations, degrees, j - 1, law.cap)
+        ring = _partial_algebra(spec, variables, relations, degrees, j - 1, law.cap)
         denom = (_n_series_in_variable(law, p ** (m - 1), ring.variables) if j == 1
                  else _denominator_product(law, ring))
         # the denominator has Weierstrass degree p^((m-1) n) at stage 1, p^(j-1) after
@@ -326,7 +329,13 @@ def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
         dist, d = _stage_relation(law, ring, p ** m, denom, expected, f"{label} stage {j}")
         relations.append(dist.rename(variables))
         degrees.append(d)
-    return FiniteAlgebra(law.spec, variables, relations, tuple(degrees), label=label)
+    return FiniteAlgebra(spec, variables, relations, tuple(degrees), label=label)
+
+
+def stage_one_depth(spec: CoeffRingSpec, n: int) -> int:
+    """(p^n - 1)(N + D - 1): x_1^(p^n - 1) lies in m = (p, u) on the stage-1 quotient
+    of a height-n law and m^(N + D - 1) = 0, so the character sums are exact from this cap."""
+    return (spec.p ** n - 1) * (spec.p_precision + spec.u_degree_cap - 1)
 
 
 def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coeffring import CoeffElem, CoeffRingSpec
+from .coeffring import CoeffElem, CoeffRingSpec, convolve
 from .errors import (
     IntegralityFailure,
     NonNilpotentArgument,
@@ -189,14 +189,7 @@ def _strip(ints: list[int], s: int, p: int) -> Scaled:
 
 def _mul(a: Scaled, b: Scaled, p: int) -> Scaled:
     """Product truncated at u^width: convolve the ints, add the scales."""
-    a_ints, b_ints = a[0], b[0]
-    width = len(a_ints)
-    out = [0] * width
-    for i, x in enumerate(a_ints):
-        if x:
-            for j in range(width - i):
-                out[i + j] += x * b_ints[j]
-    return _strip(out, a[1] + b[1], p)
+    return _strip(convolve(a[0], b[0], len(a[0])), a[1] + b[1], p)
 
 
 def _lincomb(terms: list[tuple[int, Scaled]], p: int, width: int) -> Scaled:
@@ -301,14 +294,8 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
     for (a, b), (ints, s) in acc.items():
         if s:
             raise fail(f"the x^{a} y^{b} coefficient keeps the denominator {p}^{s}")
-        if spec.deformation_params:
-            pad = (0,) * (spec.deformation_params - 1)
-            c = CoeffElem(spec, {(i,) + pad: x for i, x in enumerate(ints) if x})
-        else:
-            c = CoeffElem(spec, {(): ints[0]})
-        if not c.is_zero():
-            F_terms[(a, b)] = F_terms[(b, a)] = c
-    F = TruncSeries(spec, ("x", "y"), cap, F_terms)
+        F_terms[(a, b)] = F_terms[(b, a)] = CoeffElem(spec, ints)
+    F = TruncSeries(spec, ("x", "y"), cap, F_terms)  # drops the zero coefficients
     return FormalGroupLaw(spec, F, height, name)
 
 
@@ -346,7 +333,7 @@ def lubin_tate_height2_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
         raise TruncationTooSmall(
             f"cap must exceed p^2 = {spec.p ** 2} ({spec.precision_label(cap)})")
     p = spec.p
-    width = spec.u_degree_cap
+    width = spec.width
     zero: Scaled = ([0] * width, 0)
     log_coeffs: dict[int, Scaled] = {1: ([1] + [0] * (width - 1), 0)}
     k = p

@@ -72,10 +72,8 @@ class _QU:
 
     def to_coeff(self, spec: CoeffRingSpec) -> CoeffElem:
         """Reduce into the target ring; denominators must be prime to p."""
-        terms = {}
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        ints = []
+        for c in self.coeffs:
             if c.denominator % spec.p == 0:
                 raise IntegralityFailure(f"coefficient {c} is not {spec.p}-integral")
             if spec.exact:
@@ -84,12 +82,8 @@ class _QU:
                 value = c.numerator
             else:
                 value = c.numerator * pow(c.denominator, -1, spec.modulus) % spec.modulus
-            if spec.deformation_params:
-                mono = (j,) + (0,) * (spec.deformation_params - 1)
-            else:
-                mono = ()
-            terms[mono] = value
-        return CoeffElem(spec, terms)
+            ints.append(value)
+        return CoeffElem(spec, ints)
 
 
 def honda_log(p: int, n: int, cap: int) -> dict[int, _QU]:

@@ -250,12 +250,21 @@ def test_level_relation_in_a_later_variable_exits_2(capsys, monkeypatch):
 
 
 def test_level_stage_failure_names_stage_and_precision(capsys):
-    # at T=10 the stage-2 division of [2](x2) by the level denominator leaves a remainder
+    # T=10 is below the stage-1 nilpotency depth (2^2 - 1)(8 + 6 - 1) = 39
     code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
                            "--pprec", "8", "--udeg", "6", "--trunc", "10")
     assert code == 2
-    assert "NonExactDivision" in err
+    assert "TruncationTooSmall" in err
     assert "stage 2" in err and "p=2, N=8, D=6, T=10" in err
+
+
+def test_level_cap_below_the_stage_one_depth_is_refused(capsys):
+    # (3^2 - 1)(4 + 2 - 1) = 40: at T=30 the relation would depend on T
+    code, out, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "3", "--type", "1,1",
+                             "--pprec", "4", "--udeg", "2", "--trunc", "30")
+    assert code == 2 and out == ""
+    assert "TruncationTooSmall" in err and "depth 40" in err
+    assert "stage 2" in err and "p=3, N=4, D=2, T=30" in err
 
 
 def test_law_cap_failure_names_precision(capsys):
@@ -299,14 +308,14 @@ def test_prepare_warns_when_precision_cannot_see_valuation(capsys):
 
 
 def workload_group_ring_jobs() -> list:
-    """The groupring, level and tate jobs of the benchmark workloads that
-    suite/default.json does not run."""
+    """Every job of the benchmark workloads that suite/default.json does not run."""
     suite = json.loads((ROOT / "suite" / "default.json").read_text())
     params = []
     for workload in ("tate_exact", "height2_modular"):
         for job in json.loads((WORKLOADS / f"{workload}.json").read_text()):
-            if job["command"] in ("groupring", "level", "tate") and job not in suite:
-                job_id = f"{workload}-{job['command']}-{job['law']}-p{job['p']}-{job['type']}"
+            if job not in suite:
+                parts = [workload, job["command"], job["law"], f"p{job['p']}"]
+                job_id = "-".join(parts + ([job["type"]] if "type" in job else []))
                 params.append(pytest.param(workload, job, id=job_id))
     return params
 

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import ModeError, NotAUnit, NotDivisible, SpecMismatch
@@ -23,6 +26,8 @@ def test_spec_validation():
         CoeffRingSpec(p=2, p_precision=0)
     with pytest.raises(ValueError):
         CoeffRingSpec(p=2, p_precision=None, deformation_params=1, u_degree_cap=2)
+    with pytest.raises(ValueError):
+        CoeffRingSpec(p=2, p_precision=3, deformation_params=2, u_degree_cap=2)
 
 
 def test_add_reduces_mod_p_power():
@@ -35,17 +40,17 @@ def test_add_identity():
 
 
 def test_add_u_coefficients_cancel_mod_9():
-    u = CoeffElem.u_var(Z3_2_U, 1)
+    u = CoeffElem.u_var(Z3_2_U)
     assert u.scale(4) + u.scale(5) == CoeffElem.zero(Z3_2_U)
 
 
 def test_mul_identity():
-    a = CoeffElem(Z3_2_U, {(0,): 5, (1,): 7})
+    a = CoeffElem(Z3_2_U, [5, 7])
     assert CoeffElem.one(Z3_2_U) * a == a
 
 
 def test_mul_degree_cap_drops_u_squared():
-    u = CoeffElem.u_var(Z3_2_U, 1)
+    u = CoeffElem.u_var(Z3_2_U)
     assert u * u == CoeffElem.zero(Z3_2_U)
 
 
@@ -66,7 +71,7 @@ def test_invert_three_mod_16_against_search():
 
 def test_invert_one_plus_u_geometric():
     one = CoeffElem.one(Z3_2_U)
-    u = CoeffElem.u_var(Z3_2_U, 1)
+    u = CoeffElem.u_var(Z3_2_U)
     assert (one + u).invert() == one - u
 
 
@@ -83,13 +88,10 @@ def test_invert_random_units():
         one = CoeffElem.one(spec)
         count = 0
         while count < 200:
-            terms = {}
+            terms = [0] * spec.width
             for _ in range(rng.randrange(1, 4)):
-                mono = tuple(
-                    rng.randrange(0, spec.u_degree_cap)
-                    for _ in range(spec.deformation_params)
-                )
-                terms[mono] = rng.randrange(0, spec.modulus)
+                i = rng.randrange(0, spec.u_degree_cap) if spec.deformation_params else 0
+                terms[i] = rng.randrange(0, spec.modulus)
             a = CoeffElem(spec, terms)
             if not a.is_unit():
                 continue
@@ -117,14 +119,11 @@ def test_ring_axioms_random_triples():
         for _ in range(50):
             vals = []
             for _ in range(3):
-                terms = {}
+                terms = [0] * spec.width
                 for _ in range(rng.randrange(0, 4)):
-                    mono = tuple(
-                        rng.randrange(0, spec.u_degree_cap)
-                        for _ in range(spec.deformation_params)
-                    )
+                    i = rng.randrange(0, spec.u_degree_cap) if spec.deformation_params else 0
                     hi = spec.modulus or 10 ** 6
-                    terms[mono] = rng.randrange(-hi, hi)
+                    terms[i] = rng.randrange(-hi, hi)
                 vals.append(CoeffElem(spec, terms))
             a, b, c = vals
             assert (a + b) + c == a + (b + c)
@@ -141,6 +140,60 @@ def test_json_round_trip():
 
 
 def test_canonical_representatives():
-    a = CoeffElem(Z2_4, {(): -1})
+    a = CoeffElem(Z2_4, [-1])
     assert a.constant_part() == 15
     assert C(Z2_4, 15) == a
+
+
+def test_dense_layout_and_json():
+    a = CoeffElem(Z3_2_U, [4, 9, 5])  # 9 = 0 mod 9, and u^2 = 0
+    assert a.terms == (4,) and CoeffElem.zero(Z3_2_U).terms == ()
+    u = CoeffElem.u_var(Z3_2_U)
+    assert (u.scale(2) + C(Z3_2_U, 3)).to_json() == {
+        "monomials": [{"exps": [0], "coeff": "3"}, {"exps": [1], "coeff": "2"}]}
+    assert repr(u.scale(2) + C(Z3_2_U, 3)) == "3 + 2*u1"
+    assert C(ZEXACT2, -6).to_json() == {"monomials": [{"exps": [], "coeff": "-6"}]}
+    assert repr(CoeffElem.zero(ZEXACT2)) == "0"
+
+
+# Oracle: sympy polynomials in u over Q, reduced mod (p^N, u^D); one u and no
+# u, finite N and exact.
+U = sympy.symbols("u")
+SYMPY_SPECS = (Z3_2_U, CoeffRingSpec(p=2, p_precision=3, deformation_params=1, u_degree_cap=4),
+               Z2_4, ZEXACT3)
+
+
+def sympy_reduced(spec, expr) -> tuple:
+    poly = sympy.Poly(sympy.rem(sympy.expand(expr), U ** spec.width, U), U, domain="QQ")
+    out = []
+    for k in range(spec.width):
+        c = sympy.Rational(poly.nth(k))
+        if spec.exact:
+            assert c.q == 1
+            out.append(int(c.p))
+        else:
+            out.append(int(c.p) * pow(int(c.q), -1, spec.modulus) % spec.modulus)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(SYMPY_SPECS), st.data())
+def test_arithmetic_against_sympy(spec, data):
+    # one u: lists up to D + 1 long, so the entry at u^D is dropped; no u: at most 1
+    ints = st.lists(st.integers(-10 ** 4, 10 ** 4),
+                    max_size=spec.width + 1 if spec.deformation_params else 1)
+    xs, ys = data.draw(ints), data.draw(ints)
+    a, b = CoeffElem(spec, xs), CoeffElem(spec, ys)
+    pa = sum((c * U ** i for i, c in enumerate(xs)), sympy.Integer(0))
+    pb = sum((c * U ** i for i, c in enumerate(ys)), sympy.Integer(0))
+    assert a.terms == sympy_reduced(spec, pa)
+    assert (a + b).terms == sympy_reduced(spec, pa + pb)
+    assert (a - b).terms == sympy_reduced(spec, pa - pb)
+    assert (a * b).terms == sympy_reduced(spec, pa * pb)
+    if not a.is_unit() or (spec.exact and a.constant_part() not in (1, -1)):
+        with pytest.raises(NotAUnit):
+            a.invert()
+    else:
+        assert a.invert().terms == sympy_reduced(spec, sympy.invert(pa, U ** spec.width))

@@ -83,10 +83,11 @@ def test_malformed_elements_are_spec_mismatch():
     spec = CoeffRingSpec(p=3, p_precision=2, deformation_params=1, u_degree_cap=2)
     one = CoeffElem.one(spec)
     x = TruncSeries.variable(spec, ("x", "y"), 4, "x")
+    no_u = CoeffRingSpec(p=3, p_precision=2)
     with pytest.raises(SpecMismatch):
-        CoeffElem(spec, {(0, 0): 1})
+        CoeffElem(no_u, [1, 1])
     with pytest.raises(SpecMismatch):
-        CoeffElem.u_var(spec, 2)
+        CoeffElem.u_var(no_u)
     with pytest.raises(SpecMismatch):
         TruncSeries(spec, ("x",), 4, {(1, 0): one})
     with pytest.raises(SpecMismatch):

@@ -7,6 +7,7 @@ import sympy
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import (
     InternalInconsistency,
+    NonConvergence,
     NonExactDivision,
     RelationNotKilled,
     TruncationTooSmall,
@@ -306,3 +307,41 @@ def test_denominator_is_the_formal_inverse_one_up_to_a_unit(p, pprec, udeg, cap)
     assert r.is_zero()
     assert ring.mul(q, fast) == slow
     assert q.coefficient((0, 0)).is_unit()
+
+
+def counted_products(monkeypatch) -> list:
+    calls = []
+    mul = FiniteAlgebra.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", counting)
+    return calls
+
+
+def test_inversion_of_a_non_nilpotent_part_stops_at_the_proved_bound(monkeypatch):
+    # in Z[x]/(x^2 + 2x), 1 + x has w = -x with x^k = (-2)^(k-1) x, never 0;
+    # a nilpotent w of a rank-2 algebra over Z has w^2 = 0, so 2 products suffice
+    rel = TruncSeries(ZX2, ("x",), None, {(2,): CoeffElem.one(ZX2),
+                                          (1,): CoeffElem.from_int(ZX2, 2)})
+    alg = FiniteAlgebra(ZX2, ("x",), [rel], (2,))
+    calls = counted_products(monkeypatch)
+    with pytest.raises(NonConvergence):
+        alg.invert_element(alg.one() + alg.var(0))
+    assert len(calls) == 2
+
+
+def test_inversion_bound_is_reached_by_a_unit(monkeypatch):
+    # in Z/8[x]/(x^2 - 2), w = -x has w^5 = 4x != 0 and w^6 = 8 = 0: the bound
+    # rank (N + D - 1) = 6 is tight
+    spec = CoeffRingSpec(p=2, p_precision=3)
+    rel = TruncSeries(spec, ("x",), None, {(2,): CoeffElem.one(spec),
+                                           (0,): CoeffElem.from_int(spec, -2)})
+    alg = FiniteAlgebra(spec, ("x",), [rel], (2,))
+    f = alg.one() + alg.var(0)
+    calls = counted_products(monkeypatch)
+    inv = alg.invert_element(f)
+    assert len(calls) == 6
+    assert alg.mul(inv, f) == alg.one()

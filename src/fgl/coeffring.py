@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .errors import ModeError, NotAUnit, NotDivisible, SpecMismatch
 
@@ -171,7 +172,9 @@ class CoeffElem:
         return CoeffElem(self.spec, tuple(neg), _clean=True)
 
     def __sub__(self, other: "CoeffElem") -> "CoeffElem":
-        return self + (-other)
+        self._check(other)
+        out = [x - y for x, y in zip_longest(self.terms, other.terms, fillvalue=0)]
+        return CoeffElem(self.spec, _canonical(self.spec, out), _clean=True)
 
     def __mul__(self, other: "CoeffElem") -> "CoeffElem":
         self._check(other)

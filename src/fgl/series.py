@@ -7,11 +7,22 @@ representation a genuine quotient ring of the full power series ring:
 identities computed here are exact images of identities over the untruncated
 ring. ``cap=None`` disables degree truncation and is used where elements are
 honest polynomials (finite algebras, delta-rings).
+
+The product packs each coefficient's u-polynomial into one int, u^i in bits
+[i*w, (i+1)*w) (the order of ``CoeffElem.terms``), walks the right operand
+by total degree so the cap ends the walk, and adds each in-cap pair's product
+into one int per output monomial, unpacked and reduced once (slots at u^D and
+up dropped). Over Z/p^N[u]/(u^D) a slot sums at most D*min(|A|, |B|) products
+of coefficients below p^N, so w = 2*bitlen(p^N - 1) + bitlen(D*min(|A|, |B|))
+keeps it below 2^w: no slot carries. Without u a coefficient is its integer.
 """
 
 from __future__ import annotations
 
-from .coeffring import CoeffElem, CoeffRingSpec
+from math import inf
+from operator import add, itemgetter, lshift
+
+from .coeffring import CoeffElem, CoeffRingSpec, _canonical
 from .errors import SpecMismatch
 
 Expo = tuple[int, ...]
@@ -73,7 +84,7 @@ class TruncSeries:
     # -- views -----------------------------------------------------------
 
     def _compat(self, other: "TruncSeries") -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatch("coefficient rings differ")
         if self.variables != other.variables or self.cap != other.cap:
             raise SpecMismatch(
@@ -112,16 +123,7 @@ class TruncSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._compat(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            v = terms.get(expo)
-            s = c if v is None else v + c
-            if s.is_zero():
-                terms.pop(expo, None)
-            else:
-                terms[expo] = s
-        return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
+        return self._combine(other, False)
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(
@@ -130,28 +132,47 @@ class TruncSeries:
         )
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
+        return self._combine(other, True)
+
+    def _combine(self, other: "TruncSeries", subtract: bool) -> "TruncSeries":
+        """self + other, or self - other: one coefficient operation per common term."""
+        self._compat(other)
+        terms = dict(self.terms)
+        for expo, c in other.terms.items():
+            v = terms.get(expo)
+            s = (-c if subtract else c) if v is None else (v - c if subtract else v + c)
+            if s.is_zero():
+                terms.pop(expo)
+            else:
+                terms[expo] = s
+        return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._compat(other)
-        cap = self.cap
-        acc: dict[Expo, CoeffElem] = {}
+        spec = self.spec
+        if spec.width == 1:  # one slot: the coefficient is its integer, sign included
+            shifts, mask = (0,), -1
+        else:
+            w = 2 * (spec.modulus - 1).bit_length() + \
+                (spec.width * min(len(self.terms), len(other.terms))).bit_length()
+            shifts, mask = range(0, w * spec.width, w), (1 << w) - 1
+        right = sorted([(sum(e), e, sum(map(lshift, c.terms, shifts)))
+                        for e, c in other.terms.items()], key=itemgetter(0))
+        limit = inf if self.cap is None else self.cap
+        acc: dict[Expo, int] = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if cap is not None and d1 + sum(e2) >= cap:
-                    continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if prod.is_zero():
-                    continue
-                v = acc.get(expo)
-                s = prod if v is None else v + prod
-                if s.is_zero():
-                    acc.pop(expo, None)
-                else:
-                    acc[expo] = s
-        return TruncSeries(self.spec, self.variables, self.cap, acc, _clean=True)
+            c1, room = sum(map(lshift, c1.terms, shifts)), limit - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 >= room:
+                    break
+                key = tuple(map(add, e1, e2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        terms = {}
+        for key, v in acc.items():
+            t = _canonical(spec, [v >> s & mask for s in shifts])
+            if t:
+                terms[key] = CoeffElem(spec, t, _clean=True)
+        return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
 
     def scale(self, value: CoeffElem) -> "TruncSeries":
         terms = {}

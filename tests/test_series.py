@@ -1,4 +1,16 @@
+import itertools
+import json
+import pathlib
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import series_oracle
+from fgl.cli import run_job
 from fgl.coeffring import CoeffElem, CoeffRingSpec
+from fgl.grouprings import FiniteAlgebra
 from fgl.series import TruncSeries
 
 ZX = CoeffRingSpec(p=2, p_precision=None)
@@ -40,3 +52,132 @@ def test_rename_into_larger_ring():
     f = poly(ZX, ("x",), 6, {(2,): 5})
     g = f.rename(("x", "y"), cap=6)
     assert g == poly(ZX, ("x", "y"), 6, {(2, 0): 5})
+
+
+# -- the packed product against the pairwise oracle and sympy -----------------
+
+SPECS = (
+    CoeffRingSpec(p=3, p_precision=None),  # exact Z: signed one-slot coefficients
+    CoeffRingSpec(p=2, p_precision=5),  # Z/p^N
+    CoeffRingSpec(p=3, p_precision=3, deformation_params=1, u_degree_cap=3),
+    CoeffRingSpec(p=2, p_precision=8, deformation_params=1, u_degree_cap=6),
+)
+NAMES = ("x", "y", "z")
+X, U = sympy.symbols("x y z"), sympy.Symbol("u")
+
+
+def raw_series(spec, nvars, cap, raw):
+    """A series from {exponent: coefficient list by u-degree}."""
+    return TruncSeries(spec, NAMES[:nvars], cap, {e: CoeffElem(spec, c) for e, c in raw.items()})
+
+
+def to_sympy(nvars, raw):
+    return sum((c * U ** k * sympy.Mul(*(X[j] ** e[j] for j in range(nvars)))
+                for e, cs in raw.items() for k, c in enumerate(cs)), sympy.Integer(0))
+
+
+def sympy_terms(spec, nvars, cap, expr) -> dict:
+    """{exponent: CoeffElem.terms} of expr, truncated at x-degree cap, u^D and p^N."""
+    acc: dict = {}
+    for monom, c in sympy.Poly(sympy.expand(expr), *X[:nvars], U).terms():
+        e, k = monom[:nvars], monom[nvars]
+        if (cap is None or sum(e) < cap) and k < spec.width:
+            acc.setdefault(e, [0] * spec.width)[k] += int(c)
+    return {e: t for e, cs in acc.items() if (t := CoeffElem(spec, cs).terms)}
+
+
+@st.composite
+def rings(draw):
+    return (draw(st.sampled_from(SPECS)), draw(st.integers(1, 3)),
+            draw(st.none() | st.integers(1, 7)))
+
+
+def raw_terms(spec, nvars, max_size=6):
+    hi = spec.modulus or 10 ** 30
+    coeff = st.lists(st.integers(-hi, hi), min_size=1,
+                     max_size=spec.width + 1 if spec.deformation_params else 1)
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars), coeff, max_size=max_size)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rings(), st.data())
+def test_mul_against_oracle_and_sympy(ring, data):
+    spec, nvars, cap = ring
+    ra, rb = data.draw(raw_terms(spec, nvars)), data.draw(raw_terms(spec, nvars))
+    a, b = raw_series(spec, nvars, cap, ra), raw_series(spec, nvars, cap, rb)
+    got = a * b
+    assert got == series_oracle.mul(a, b)
+    expected = sympy_terms(spec, nvars, cap, to_sympy(nvars, ra) * to_sympy(nvars, rb))
+    assert {e: c.terms for e, c in got.terms.items()} == expected
+
+
+@pytest.mark.parametrize("spec", SPECS[1:], ids=["Z/p^N", "p3N3D3", "p2N8D6"])
+@pytest.mark.parametrize("nvars, cap", [(1, 24), (2, 9), (3, 6), (2, None)])
+def test_mul_slot_width_worst_case(spec, nvars, cap):
+    # dense operands with every coefficient p^N - 1: the largest slot sums
+    top = [spec.modulus - 1] * spec.width
+    degree = cap - 1 if cap else 5
+    expos = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+    f = raw_series(spec, nvars, cap, {e: top for e in expos})
+    g = raw_series(spec, nvars, cap, {e: top for e in expos[: len(expos) // 2 + 1]})
+    assert f * f == series_oracle.mul(f, f)
+    assert f * g == series_oracle.mul(f, g)
+    assert g * f == series_oracle.mul(g, f)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rings(), st.data())
+def test_series_ring_axioms(ring, data):
+    spec, nvars, cap = ring
+    a, b, c = (raw_series(spec, nvars, cap, data.draw(raw_terms(spec, nvars, 5)))
+               for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a and a - a == TruncSeries.zero(spec, a.variables, cap)
+    assert a - b == a + (-b)
+
+
+def stage_ring(spec, t) -> FiniteAlgebra:
+    """A[y]/(y^t) over A = E0[x]/(x^3 + (p + u) x + p), u left out without u."""
+    p = spec.p
+    rel1 = raw_series(spec, 2, None, {(3, 0): [1], (1, 0): [p, 1][:spec.width], (0, 0): [p]})
+    rel2 = raw_series(spec, 2, None, {(0, t): [1]})
+    return FiniteAlgebra(spec, NAMES[:2], [rel1, rel2], (3, t), label="A[y]/(y^T)")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(SPECS), st.data())
+def test_stage_ring_mul_axioms(spec, data):
+    ring = stage_ring(spec, 4)
+    a, b, c = (ring.reduce(raw_series(spec, 2, None, data.draw(raw_terms(spec, 2, 5))))
+               for _ in range(3))
+    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+    assert ring.mul(a, b) == ring.mul(b, a)
+    assert ring.mul(a, b + c) == ring.mul(a, b) + ring.mul(a, c)
+    assert ring.mul(ring.one(), a) == a
+
+
+# -- every product of two suite jobs against the oracle -----------------------
+
+SUITE = pathlib.Path(__file__).resolve().parent.parent / "suite"
+CROSS_CHECKED = [job for job in json.loads((SUITE / "default.json").read_text())
+                 if job.get("law") == "lubinTate2" and job.get("pprec") == 8
+                 and (job["command"] == "check-axioms"
+                      or job["command"] == "prepare" and job["M"] == 1)]
+
+
+@pytest.mark.parametrize("job", CROSS_CHECKED, ids=lambda job: job["command"])
+def test_suite_job_products_match_oracle(job, monkeypatch):
+    kernel, products = TruncSeries.__mul__, []
+
+    def checked(a, b):
+        got = kernel(a, b)
+        assert got == series_oracle.mul(a, b)
+        products.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(TruncSeries, "__mul__", checked)
+    record = run_job(dict(job))
+    assert len(CROSS_CHECKED) == 2 and len(products) > 100 and any(products)
+    assert record["digest"] in json.loads((SUITE / "baseline.json").read_text())

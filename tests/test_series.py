@@ -111,7 +111,7 @@ def test_mul_against_oracle_and_sympy(ring, data):
     assert {e: c.terms for e, c in got.terms.items()} == expected
 
 
-@pytest.mark.parametrize("spec", SPECS[1:], ids=["Z/p^N", "p3N3D3", "p2N8D6"])
+@pytest.mark.parametrize("spec", SPECS[1:], ids=["p2N5", "p3N3D3", "p2N8D6"])
 @pytest.mark.parametrize("nvars, cap", [(1, 24), (2, 9), (3, 6), (2, None)])
 def test_mul_slot_width_worst_case(spec, nvars, cap):
     # dense operands with every coefficient p^N - 1: the largest slot sums
@@ -161,23 +161,24 @@ def test_stage_ring_mul_axioms(spec, data):
 # -- every product of two suite jobs against the oracle -----------------------
 
 SUITE = pathlib.Path(__file__).resolve().parent.parent / "suite"
-CROSS_CHECKED = [job for job in json.loads((SUITE / "default.json").read_text())
-                 if job.get("law") == "lubinTate2" and job.get("pprec") == 8
-                 and (job["command"] == "check-axioms"
-                      or job["command"] == "prepare" and job["M"] == 1)]
+CROSS_CHECKED = [
+    {"command": "check-axioms", "law": "lubinTate2", "p": 2, "pprec": 8, "udeg": 6, "trunc": 12},
+    {"command": "prepare", "law": "lubinTate2", "p": 2, "M": 1, "pprec": 8, "udeg": 6, "trunc": 20},
+]
 
 
 @pytest.mark.parametrize("job", CROSS_CHECKED, ids=lambda job: job["command"])
 def test_suite_job_products_match_oracle(job, monkeypatch):
+    assert job in json.loads((SUITE / "default.json").read_text())
     kernel, products = TruncSeries.__mul__, []
 
     def checked(a, b):
         got = kernel(a, b)
         assert got == series_oracle.mul(a, b)
-        products.append(len(got.terms))
+        products.append(got)
         return got
 
     monkeypatch.setattr(TruncSeries, "__mul__", checked)
     record = run_job(dict(job))
-    assert len(CROSS_CHECKED) == 2 and len(products) > 100 and any(products)
+    assert len(products) > 100 and any(not f.is_zero() for f in products)
     assert record["digest"] in json.loads((SUITE / "baseline.json").read_text())

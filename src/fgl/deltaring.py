@@ -91,15 +91,16 @@ class DeltaRing:
         if not self.delta(self.constant(1)).is_zero():
             failures.append("delta(1) != 0")
         for i, (a, b) in enumerate(sample_pairs):
-            da, db = self.delta(a), self.delta(b)
-            prod_rule = self.delta(a * b) == \
-                da * _power(b, p) + _power(a, p) * db + (da * db).scale(
-                    CoeffElem.from_int(self.spec, p))
-            binom = _divide_terms_by_p(_power(a, p) + _power(b, p) - _power(a + b, p))
-            sum_rule = self.delta(a + b) == da + db + binom
-            hom_add = self.psi(a + b) == self.psi(a) + self.psi(b)
-            hom_mul = self.psi(a * b) == self.psi(a) * self.psi(b)
-            lift = _all_divisible(self.psi(a) - _power(a, p), p)
+            psi_a, psi_b, psi_sum, psi_prod = map(self.psi, (a, b, a + b, a * b))
+            ap, bp, sum_p = _power(a, p), _power(b, p), _power(a + b, p)
+            da, db = _divide_terms_by_p(psi_a - ap), _divide_terms_by_p(psi_b - bp)
+            prod_rule = _divide_terms_by_p(psi_prod - ap * bp) == \
+                da * bp + ap * db + (da * db).scale(CoeffElem.from_int(self.spec, p))
+            binom = _divide_terms_by_p(ap + bp - sum_p)
+            sum_rule = _divide_terms_by_p(psi_sum - sum_p) == da + db + binom
+            hom_add = psi_sum == psi_a + psi_b
+            hom_mul = psi_prod == psi_a * psi_b
+            lift = _all_divisible(psi_a - ap, p)
             for name, ok in (("product rule", prod_rule), ("sum rule", sum_rule),
                              ("psi additive", hom_add), ("psi multiplicative", hom_mul),
                              ("frobenius lift", lift)):
@@ -272,23 +273,19 @@ def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,
 
 
 def frobenius_chain_check(ring: DeltaRing, order_exponent: int,
-                          chains: dict[str, int] | list) -> dict:
+                          chains: dict[str, list[str]]) -> dict:
     """Every index-p chain from the trivial group assigns psi^m, m = order exp.
 
     A chain is a sequence of index-p steps; each step contributes one psi.
     The composite is evaluated by honest map composition on generators and
     compared against the directly constructed psi^m.
     """
-    if isinstance(chains, dict):
-        chain_items = list(chains.items())
-    else:
-        chain_items = [(f"chain{i}", c) for i, c in enumerate(chains)]
     expected = {g: ring.psi_power(ring.var(g), order_exponent)
                 for g in ring.generators}
     failures = []
     results = {}
-    for name, chain in chain_items:
-        steps = chain if isinstance(chain, int) else len(chain)
+    for name, chain in chains.items():
+        steps = len(chain)
         if steps != order_exponent:
             failures.append(f"{name}: {steps} steps for order exponent {order_exponent}")
             results[name] = False

@@ -19,9 +19,9 @@ standing for ints / p^s. That is exact, with no guard digits to derive:
 the logarithms have p-power denominators, and the law is built from them by
 ring operations and by divisions by integers whose prime-to-p part divides
 exactly, so no value ever leaves Z[1/p]. Every coefficient of the resulting
-law must come back to scale 0 before it is reduced into the target ring;
-this is checked, and a failure is an ``IntegralityFailure`` (a bug, not a
-user error).
+law must come back to scale 0 on its own before it is reduced into the
+target ring; this is checked, and a failure is an ``IntegralityFailure``
+naming the coefficient (a bug, not a user error).
 """
 
 from __future__ import annotations
@@ -228,9 +228,11 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
 
     kept for each j with l_j != 0, so a new e_k costs O(k) products per j.
     Dividing by n = p^v m divides the ints by m exactly and adds v to the
-    scale. F is then the Horner evaluation of E at l(x) + l(y). Each of its
-    coefficients must reach scale 0 before it is reduced into ``spec``;
-    one that does not is an ``IntegralityFailure``.
+    scale. F is then the Horner evaluation of E at S = l(x) + l(y) (Brent and
+    Kung, J. ACM 25, 1978). S has valuation 1 and multiplies the accumulator
+    k more times after e_k joins it, so only its x^a y^b with a + b < cap - k
+    are formed. S's coefficients share one scale, and so do the accumulator's:
+    a step is integer convolutions and adds.
     """
     p = spec.p
 
@@ -265,33 +267,40 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
             terms.append((-1, _mul(log_coeffs[j], c[n], p)))
         E.append(_lincomb(terms, p, width))
 
-    # Horner: (((e_{cap-1}) S + e_{cap-2}) S + ... + e_1) S with
-    # S = l(x) + l(y). Every partial result is symmetric in x and y, so only
-    # the exponents (a, b) with a <= b are kept.
-    S = [(j, c) for j, c in sorted(log_coeffs.items()) if j < cap and any(c[0])]
-    acc: dict[tuple[int, int], Scaled] = {}
+    # Horner: (((e_{cap-1}) S + e_{cap-2}) S + ... + e_1) S. Every partial
+    # result is symmetric in x and y, so only the exponents (a, b) with a <= b
+    # are kept. A row of ints stands for ints / p^A, one A for all rows, and A
+    # never drops below the largest scale of an e_k, so each e_k joins by a product.
+    sigma = max(s for _, s in log_coeffs.values())
+    S = [(j, [x * p ** (sigma - s) for x in ints])
+         for j, (ints, s) in sorted(log_coeffs.items()) if j < cap and any(ints)]
+    acc: dict[tuple[int, int], list[int]] = {}
+    A = floor = max(s for _, s in E)
     for k in range(cap - 1, -1, -1):
-        out: dict[tuple[int, int], Scaled] = {}
-        for a in range(cap):
-            for b in range(a, cap - a):
+        out: dict[tuple[int, int], list[int]] = {}
+        for a in range(cap - k):
+            for b in range(a, cap - k - a):
                 terms = []
                 for j, c in S:
                     if j > b:
                         break
                     left = acc.get((a - j, b)) if j <= a else None
                     right = acc.get((a, b - j) if a <= b - j else (b - j, a))
-                    if left and right:
-                        terms.append((1, _mul(c, _lincomb([(1, left), (1, right)], p, width), p)))
-                    elif left or right:
-                        terms.append((1, _mul(c, left or right, p)))
+                    src = [x + y for x, y in zip(left, right)] if left and right else left or right
+                    if src:
+                        terms.append(convolve(c, src, width))
                 if terms:
-                    out[(a, b)] = _lincomb(terms, p, width)
-        acc = out
+                    out[(a, b)] = [sum(col) for col in zip(*terms)]
+        acc, A = out, A + sigma
         if k and any(E[k][0]):
-            acc[(0, 0)] = E[k]
+            acc[(0, 0)] = [x * p ** (A - E[k][1]) for x in E[k][0]]
+        v = A - floor - _strip([gcd(*(gcd(*row) for row in acc.values()))], A - floor, p)[1]
+        if v:
+            acc, A = {key: [x // p ** v for x in row] for key, row in acc.items()}, A - v
 
     F_terms: dict[tuple[int, int], CoeffElem] = {}
-    for (a, b), (ints, s) in acc.items():
+    for (a, b), row in acc.items():
+        ints, s = _strip(row, A, p)
         if s:
             raise fail(f"the x^{a} y^{b} coefficient keeps the denominator {p}^{s}")
         F_terms[(a, b)] = F_terms[(b, a)] = CoeffElem(spec, ints)

@@ -19,8 +19,9 @@ keeps it below 2^w: no slot carries. Without u a coefficient is its integer.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import inf
-from operator import add, itemgetter, lshift
+from operator import add, itemgetter, lshift, mul
 
 from .coeffring import CoeffElem, CoeffRingSpec, _canonical
 from .errors import SpecMismatch
@@ -197,29 +198,22 @@ class TruncSeries:
         if missing:
             raise SpecMismatch(f"no image for variables {missing}")
         model = images[self.variables[0]]
-        target_spec = model.spec
-        target_vars = model.variables
-        target_cap = model.cap
-
-        pow_cache: dict[tuple[str, int], TruncSeries] = {}
+        one = TruncSeries.one(model.spec, model.variables, model.cap)
+        pow_cache: dict[tuple[str, int], TruncSeries] = {(name, 0): one for name in self.variables}
 
         def power(name: str, k: int) -> TruncSeries:
-            if k == 0:
-                return TruncSeries.one(target_spec, target_vars, target_cap)
             got = pow_cache.get((name, k))
             if got is None:
-                got = power(name, k - 1) * images[name]
-                pow_cache[(name, k)] = got
+                got = pow_cache[(name, k)] = power(name, k - 1) * images[name]
             return got
 
-        out = TruncSeries.zero(target_spec, target_vars, target_cap)
+        # each term's coefficients go straight into one dict: no copy per term
+        acc: dict[Expo, CoeffElem] = {}
         for expo, c in sorted(self.terms.items()):
-            term = TruncSeries.constant(target_spec, target_vars, target_cap, c)
-            for name, k in zip(self.variables, expo):
-                if k:
-                    term = term * power(name, k)
-            out = out + term
-        return out
+            factors = [power(name, k) for name, k in zip(self.variables, expo) if k]
+            for e, v in (reduce(mul, factors) if factors else one).scale(c).terms.items():
+                acc[e] = acc[e] + v if e in acc else v
+        return TruncSeries(model.spec, model.variables, model.cap, acc)  # drops the zeros
 
     def rename(self, variables: tuple[str, ...], cap: int | None = None) -> "TruncSeries":
         """Reinterpret in a (possibly larger) variable list, by name."""

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,7 +196,7 @@ def test_lubin_tate_validation():
 
 
 @pytest.mark.parametrize("p,n,cap", [
-    (2, 1, 12), (2, 2, 12), (3, 1, 12), (3, 2, 12), (2, 2, 20), (2, 2, 24),
+    (2, 1, 12), (2, 2, 12), (3, 1, 12), (3, 2, 12), (2, 2, 20), (2, 2, 24), (5, 1, 30),
 ])
 def test_honda_matches_fraction_oracle(p, n, cap):
     spec = CoeffRingSpec(p=p, p_precision=1)
@@ -204,7 +205,8 @@ def test_honda_matches_fraction_oracle(p, n, cap):
 
 @pytest.mark.parametrize("p,pprec,udeg,cap", [
     (2, 8, 6, 10), (2, 8, 6, 12), (2, 8, 6, 20), (2, 4, 2, 30),
-    (2, 3, 2, 8), (2, 3, 2, 20), (2, 3, 2, 24), (3, 4, 3, 12), (3, 4, 3, 14),
+    (2, 3, 2, 8), (2, 3, 2, 20), (2, 3, 2, 24), (2, 3, 2, 30), (3, 4, 3, 12), (3, 4, 3, 14),
+    (3, 4, 3, 28),
 ])
 def test_lubin_tate_matches_fraction_oracle(p, pprec, udeg, cap):
     spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
@@ -226,5 +228,7 @@ def test_lubin_tate_matches_fraction_oracle_property(p_cap, pprec, udeg):
 def test_non_integral_log_raises_integrality_failure():
     # l = x + x^2/4 gives F = x + y - xy/2 + ..., not 2-integral
     spec = CoeffRingSpec(p=2, p_precision=4)
-    with pytest.raises(IntegralityFailure, match=r"p=2, N=4, D=1, T=6"):
+    # the exact coefficient and its own denominator, not a scale shared by a row
+    text = "bad: the x^1 y^1 coefficient keeps the denominator 2^1 (p=2, N=4, D=1, T=6)"
+    with pytest.raises(IntegralityFailure, match=f"^{re.escape(text)}$"):
         _law_from_log(spec, 6, {1: ([1], 0), 2: ([1], 2)}, 1, 1, "bad")

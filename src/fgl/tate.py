@@ -16,13 +16,18 @@ lemma splits Q^n = ker P (+) im P: e is nilpotent on the first summand and,
 since rank M^(k+1) = rank P, bijective on the second. The ring is
 commutative, so every multiplication commutes with P and keeps both
 summands. Hence A_Q[1/e] = A_Q / ker(e^oo) = A_Q / ker P, and v -> P v
-identifies it with im P as an A-module. Three rules follow, each a rank or
-a zero test on integers:
+identifies it with im P as an A-module. Let B be the q = n - dim ker P
+columns of P at its pivot columns; they are a basis of im P. Three rules
+follow, each a rank or a zero test on integers:
 
 - a relation r dies in the localization iff P r = 0;
-- an element f acts on the quotient with rank rank(M_f P);
-- the x -> x level map is bijective iff the level rank is q = n - dim ker P
-  and the P-columns of the level basis monomials have rank q.
+- an element f acts on the quotient with rank rank(M_f B), an n x q
+  matrix, so f is invertible there iff that rank is q;
+- the x -> x level map is bijective iff the level rank is q and the
+  P-columns of the level basis monomials have rank q.
+
+Both rank tests ask for full rank, which ``linalg.rank`` certifies by one
+elimination modulo a word-size prime.
 
 This is only honest over exact (integer) coefficients: inverting a
 p-adically small element at finite p-precision is ill-posed, so truncated
@@ -89,38 +94,50 @@ def _integer_matrix(alg: FiniteAlgebra, f: TruncSeries) -> Matrix:
 
 @dataclass
 class LocalizedRing:
-    """ambient tensor Q localized at e, modeled as the image of P = e^k."""
+    """ambient tensor Q localized at e, modeled as the image of P = e^k.
+
+    ``image`` is P (n x n) and ``basis`` is B (n x q), the columns of P at
+    its pivot columns, a basis of im P.
+    """
 
     ambient: FiniteAlgebra
     inverted: TruncSeries
     image: Matrix
+    basis: Matrix
     quotient_rank: int
     iterations: int
 
     def multiplication_matrix(self, elem: TruncSeries) -> Matrix:
-        """``elem`` times P; its rank is the rank of ``elem`` on the quotient."""
-        return mat_mul(_integer_matrix(self.ambient, elem), self.image)
+        """``elem`` times B; its rank is the rank of ``elem`` on the quotient."""
+        return mat_mul(_integer_matrix(self.ambient, elem), self.basis)
 
 
 def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     """Stabilize the kernel chain of multiplication by e; P = e^k at the first
     stable k. Stability (rank e^(k+1) = rank e^k) is itself the proof that e
-    is bijective on im P."""
+    is bijective on im P.
+
+    The chain compares exact nullities from ``nullspace``. At the stable step
+    ker P = ker e^(k+1), so both have the same free columns: the last nonzero
+    entry of each kernel vector. The other q columns of P are B."""
     n = alg.rank
     M = _integer_matrix(alg, e)
     image, dim, iterations = M, len(nullspace(M)), 1
     while True:
         power = mat_mul(image, M)
-        power_dim = len(nullspace(power))
-        if power_dim == dim:
+        kernel = nullspace(power)
+        if len(kernel) == dim:
             break
-        image, dim, iterations = power, power_dim, iterations + 1
+        image, dim, iterations = power, len(kernel), iterations + 1
         if iterations > n:
             raise NonConvergence(
                 f"localization_kernel: kernel chain of a rank-{n} matrix failed to "
                 f"stabilize within {n} steps ({alg.spec.precision_label(None)})")
-    return LocalizedRing(ambient=alg, inverted=e, image=image,
-                         quotient_rank=n - dim, iterations=iterations)
+    free = {max(i for i, x in enumerate(v) if x) for v in kernel}
+    pivots = [c for c in range(n) if c not in free]
+    basis = [[row[c] for c in pivots] for row in image]
+    return LocalizedRing(ambient=alg, inverted=e, image=image, basis=basis,
+                         quotient_rank=len(pivots), iterations=iterations)
 
 
 @dataclass
@@ -188,8 +205,8 @@ def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> Fac
     ``loc`` is the localization of ``euler.ambient`` at ``euler.product``,
     as ``localization_kernel`` (or ``level_to_tate_map``) built it. This is
     the finite-rank shadow of 'inverting the product inverts each factor':
-    on ambient/(eventual kernel) every factor's multiplication matrix must
-    have full rank.
+    on ambient/(eventual kernel) every factor's multiplication matrix M_f B
+    must have full rank q.
     """
     results = []
     for factor in euler.factors:

@@ -1,16 +1,21 @@
 import importlib.util
 import pathlib
+import sys
 
-import fgl.cli  # noqa: F401  (loads every fgl module the benchmark traces)
+import fgl.cli  # loads every fgl module the benchmark traces
 
-LAYERS_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_layers():
+    return _load("perfbench_layers", PERFBENCH / "layers.py")
 
 
 def test_every_traced_entry_point_resolves():
@@ -20,3 +25,20 @@ def test_every_traced_entry_point_resolves():
     assert len(targets) == 29
     for target in targets:
         assert callable(layers.resolve(target)), target
+
+
+def test_small_tate_job_calls_every_gated_tate_layer(monkeypatch):
+    # the benchmark fails a traced pass on which a gated counter reads zero;
+    # one small tate job must already reach every one of them
+    layers = load_layers()
+    monkeypatch.setitem(sys.modules, "layers", layers)  # run.py imports it by name
+    run = _load("perfbench_run", PERFBENCH / "run.py")
+    trace = layers.LayerTrace()
+    trace.install()
+    try:
+        fgl.cli.run_job({"command": "tate", "law": "multiplicative", "p": 3, "type": "2"})
+    finally:
+        trace.uninstall()
+    metrics = trace.metrics()
+    assert run._TATE
+    assert [name for name in run._TATE if not metrics[name]] == []

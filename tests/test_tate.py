@@ -211,18 +211,38 @@ def _sympy_matrix(alg, f):
     return sympy.Matrix(cols).T
 
 
+def _fitting_ranks(alg, inverted, elements):
+    # oracle: the quotient A_Q / K with K = ker(inverted^n) computed by sympy;
+    # f acts on it with rank rank([M_f | K]) - dim K. Returns q and the ranks.
+    loc = localization_kernel(alg, inverted)
+    n = alg.rank
+    kernel = (_sympy_matrix(alg, inverted) ** n).nullspace()
+    q = n - len(kernel)
+    assert loc.quotient_rank == q
+    # B: q columns of P that span im P
+    assert len(loc.basis) == n and all(len(row) == q for row in loc.basis)
+    assert rank(loc.basis) == q
+    ranks = [rank(loc.multiplication_matrix(f)) for f in elements]
+    for f, r in zip(elements, ranks):
+        assert r == sympy.Matrix.hstack(_sympy_matrix(alg, f), *kernel).rank() - len(kernel)
+    return q, ranks
+
+
 @pytest.mark.parametrize("spec,p,m", [
     (ZX2, 2, 1), (ZX2, 2, 2), (ZX2, 2, 3), (ZX3, 3, 1), (ZX3, 3, 2), (ZX5, 5, 1),
 ])
 def test_fitting_rule_matches_sympy_quotient(spec, p, m):
-    # oracle: the quotient A_Q / K with K = ker(e^n) computed by sympy; f acts
-    # on it with rank rank([M_f | K]) - dim K
-    ec = euler_class(law_for(spec, p, m), AbelianPType((m,)))
+    law = law_for(spec, p, m)
+    ec = euler_class(law, AbelianPType((m,)))
     alg = ec.ambient
-    loc = localization_kernel(alg, ec.product)
-    n = alg.rank
-    kernel = (_sympy_matrix(alg, ec.product) ** n).nullspace()
-    assert loc.quotient_rank == n - len(kernel)
-    for f in (ec.product, *ec.factors):
-        expected = sympy.Matrix.hstack(_sympy_matrix(alg, f), *kernel).rank() - len(kernel)
-        assert rank(loc.multiplication_matrix(f)) == expected
+    q, ranks = _fitting_ranks(alg, ec.product, [ec.product, *ec.factors, alg.zero()])
+    assert q == p ** m - p ** (m - 1)
+    assert ranks == [q] * (len(ranks) - 1) + [0]
+    if m == 2:
+        # localized at x, A_Q[1/x] = Q(zeta_p) x Q(zeta_p^2): [p](x) vanishes
+        # on the first factor, so it is no unit and acts with rank q - (p - 1)
+        x1 = TruncSeries.variable(law.spec, alg.variables, law.cap, "x1")
+        p_series = alg.reduce(law.n_series(p).series.subst({"x": x1}))
+        q, ranks = _fitting_ranks(alg, alg.var(0), [p_series])
+        assert q == p ** 2 - 1
+        assert ranks == [q - (p - 1)]

@@ -85,7 +85,7 @@ def test_rank_matches_fraction_oracle(m):
     assert r == len(linalg_oracle.rref(m)[1])
     # a rank below min(rows, cols) is never certified mod l; Bareiss runs once
     full = min(len(m), len(m[0]) if m else 0)
-    assert calls == 1 if r < full else calls <= 1
+    assert (calls == 1) if r < full else (calls <= 1)
 
 
 @pytest.mark.parametrize("m", [

@@ -128,9 +128,10 @@ def run_job(job: dict) -> dict:
     started = time.perf_counter()
     outputs = _dispatch(job["command"], job)
     duration = time.perf_counter() - started
+    canonical = _canonical_job(job)
     return {
-        "hash": job_hash(_canonical_job(job)),
-        "job": _canonical_job(job),
+        "hash": job_hash(canonical),
+        "job": canonical,
         "outputs": outputs,
         "digest": outputs_digest(outputs),
         "version": __version__,
@@ -302,7 +303,8 @@ def run_suite(config_path: str, baseline_path: str | None = None,
     cache = cache_dir_from_env(cache)
 
     def run_one(job: dict) -> dict:
-        h = job_hash(_canonical_job(_with_trunc(job)))
+        job = _with_trunc(job)  # run_job then finds trunc filled and keeps it
+        h = job_hash(_canonical_job(job))
         cached = _cache_load(cache, h)
         if cached is not None:
             return cached

@@ -21,22 +21,26 @@ an exact quotient of p-power series:
   scales the quotient by a unit, which leaves its distinguished factor, the
   relation, unchanged: that factor is unique.
 
-Every relation, ambient or level, comes from one stage: in the stage ring
-A_(j-1)[x_j]/(x_j^T), A_(j-1) the quotient by the relations before it (E0
-itself for the first level relation and for every ambient one, whose
-relations are independent), [p^m](x_j) is divided by its denominator with
-``weierstrass.divide`` (ambient relations skip this), the quotient is
-factored with ``weierstrass.prepare``, and the distinguished factor, checked
-for its expected degree, is the relation.
+Every relation, ambient or level, comes from one stage. The stage ring
+A_(j-1)[x_j]/(x_j^T) is ``A_(j-1).adjoin(x_j, T)``, A_(j-1) the quotient by
+the relations before it (E0 = ``FiniteAlgebra(spec, (), [], ())`` for every
+ambient relation, since those are independent). There [p^m](x_j) is divided
+by its denominator with ``weierstrass.divide`` (ambient relations skip
+this), the quotient is factored with ``weierstrass.prepare``, and the
+distinguished factor, checked for its expected degree d, is the relation:
+A_j = ``A_(j-1).adjoin(x_j, d, relation)``.
 
 Mixed types (e.g. C_{p^2} x C_p) are rejected: the divisor condition pins
 the ring down but not an explicit triangular generator list, and guessing
 one here would be unverifiable.
 
 Elements of a :class:`FiniteAlgebra` are cap-free polynomials on the
-monomial basis; reduction by the triangular monic relations is ordinary
-polynomial division, processed from the highest variable down so each
-substitution only introduces lower variables.
+monomial basis. Its constructor checks the triangular shape: relation j is
+x_j^(d_j) plus terms of lower x_j-degree in x_1..x_j only. So reduction,
+which substitutes the tail (the non-lead terms, negated) for x_j^(d_j), is
+one sweep per variable, from the highest variable down and, in each, from
+the top degree down: no rewrite brings back a later variable or a degree
+already swept.
 """
 
 from __future__ import annotations
@@ -112,12 +116,30 @@ class FiniteAlgebra:
         self.relations = list(relations)
         self.lead_degrees = tuple(lead_degrees)
         self.label = label
+        self._tails = []
         for j, (rel, d) in enumerate(zip(self.relations, self.lead_degrees)):
             lead = tuple(d if i == j else 0 for i in range(len(self.variables)))
-            if rel.coefficient(lead) != CoeffElem.one(spec):
+            tail = [(expo, -c) for expo, c in rel.terms.items() if expo != lead]
+            if (rel.coefficient(lead) != CoeffElem.one(spec)
+                    or any(any(expo[j + 1:]) or expo[j] >= d for expo, _ in tail)):
                 raise InternalInconsistency(
-                    f"{label or 'finite algebra'}: relation {j + 1} is not monic of degree "
-                    f"{d} in its variable ({spec.precision_label(None)})")
+                    f"{label or 'finite algebra'}: relation {j + 1} is not "
+                    f"{self.variables[j]}^{d} plus terms of lower degree in "
+                    f"{', '.join(self.variables[:j + 1])} ({spec.precision_label(None)})")
+            self._tails.append(tail)
+
+    def adjoin(self, x: str, degree: int, relation: TruncSeries | None = None,
+               label: str = "") -> "FiniteAlgebra":
+        """self[x]/(relation), every relation renamed into the longer variable tuple;
+        with no relation, the stage ring self[x]/(x^degree)."""
+        variables = self.variables + (x,)
+        if relation is None:
+            relation = TruncSeries(self.spec, (x,), None, {(degree,): CoeffElem.one(self.spec)},
+                                   _clean=True)
+        return FiniteAlgebra(self.spec, variables,
+                             [rel.rename(variables) for rel in self.relations + [relation]],
+                             self.lead_degrees + (degree,),
+                             label=label or f"{self.label or 'E0'}[{x}]/({x}^{degree})")
 
     @property
     def rank(self) -> int:
@@ -154,34 +176,25 @@ class FiniteAlgebra:
             f = f.rename(self.variables, cap=None)
         terms = dict(f.terms)
         for j in range(len(self.variables) - 1, -1, -1):
-            terms = self._reduce_in_var(terms, j)
+            self._reduce_in_var(terms, j)
         return TruncSeries(self.spec, self.variables, None, terms, _clean=True)
 
-    def _reduce_in_var(self, terms: dict, j: int) -> dict:
-        d = self.lead_degrees[j]
-        rel = self.relations[j].terms
-        while True:
-            cand = None
-            for expo in terms:
-                if expo[j] >= d and (cand is None or expo[j] > cand[j]):
-                    cand = expo
-            if cand is None:
-                return terms
-            c = terms[cand]
-            shift = list(cand)
-            shift[j] -= d
-            # subtract c * x^shift * relation; the monic lead cancels cand
-            for rexpo, rc in rel.items():
-                key = tuple(a + b for a, b in zip(shift, rexpo))
-                prod = rc * c
-                if prod.is_zero():
-                    continue
-                cur = terms.get(key)
-                s = (-prod) if cur is None else cur - prod
-                if s.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+    def _reduce_in_var(self, terms: dict, j: int) -> None:
+        """Rewrite c x^e, e_j = k >= d, as c x^(e - d e_j) tail_j, k from the top down.
+
+        The tail lies below x_j^d, so each rewrite lands below its own degree k."""
+        d, tail = self.lead_degrees[j], self._tails[j]
+        for k in range(max((expo[j] for expo in terms), default=0), d - 1, -1):
+            for expo in [e for e in terms if e[j] == k]:
+                c = terms.pop(expo)
+                shift = expo[:j] + (k - d,) + expo[j + 1:]
+                for texpo, tc in tail:
+                    key = tuple(a + b for a, b in zip(shift, texpo))
+                    s = tc * c if key not in terms else terms[key] + tc * c
+                    if s.is_zero():
+                        terms.pop(key, None)
+                    else:
+                        terms[key] = s
 
     def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return self.reduce(a * b)
@@ -286,17 +299,14 @@ def group_cohomology_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlg
     """The ambient ring with relations the prepared p-power series."""
     n = _height(law)
     p = law.spec.p
-    variables = _variables(gtype.rank)
     label = f"E0(B[{gtype}])"
-    relations: list[TruncSeries] = []
-    degrees: list[int] = []
-    for j, m in enumerate(gtype.exponents):
+    e0 = alg = FiniteAlgebra(law.spec, (), [], ())
+    for j, (x, m) in enumerate(zip(_variables(gtype.rank), gtype.exponents), 1):
         # the relations are independent, so each stage ring is E0[x_j]/(x_j^T)
-        ring = _partial_algebra(law.spec, variables[j:j + 1], [], [], 0, law.cap)
-        dist, d = _stage_relation(law, ring, p ** m, None, p ** (m * n), f"{label} stage {j + 1}")
-        relations.append(dist.rename(variables))
-        degrees.append(d)
-    return FiniteAlgebra(law.spec, variables, relations, tuple(degrees), label=label)
+        dist, d = _stage_relation(law, e0.adjoin(x, law.cap), p ** m, None, p ** (m * n),
+                                  f"{label} stage {j}")
+        alg = alg.adjoin(x, d, dist, label=label)
+    return alg
 
 
 def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
@@ -312,24 +322,21 @@ def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
         )
     spec, p = law.spec, law.spec.p
     m = gtype.exponents[0]
-    variables = _variables(gtype.rank)
     label = f"Level({gtype})"
     depth = 0 if gtype.rank == 1 or spec.exact else stage_one_depth(spec, n)
     if law.cap < depth:
         raise TruncationTooSmall(f"{label} stage 2: cap {law.cap} is below the stage-1 "
                                  f"nilpotency depth {depth} ({spec.precision_label(law.cap)})")
-    relations: list[TruncSeries] = []
-    degrees: list[int] = []
-    for j in range(1, gtype.rank + 1):
-        ring = _partial_algebra(spec, variables, relations, degrees, j - 1, law.cap)
+    alg = FiniteAlgebra(spec, (), [], ())
+    for j, x in enumerate(_variables(gtype.rank), 1):
+        ring = alg.adjoin(x, law.cap)
         denom = (_n_series_in_variable(law, p ** (m - 1), ring.variables) if j == 1
                  else _denominator_product(law, ring))
         # the denominator has Weierstrass degree p^((m-1) n) at stage 1, p^(j-1) after
         expected = p ** (m * n) - p ** ((m - 1) * n + j - 1)
         dist, d = _stage_relation(law, ring, p ** m, denom, expected, f"{label} stage {j}")
-        relations.append(dist.rename(variables))
-        degrees.append(d)
-    return FiniteAlgebra(spec, variables, relations, tuple(degrees), label=label)
+        alg = alg.adjoin(x, d, dist, label=label)
+    return alg
 
 
 def stage_one_depth(spec: CoeffRingSpec, n: int) -> int:
@@ -367,30 +374,6 @@ def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,
         raise NonExactDivision(
             f"{stage}: relation degree {d}, expected {expected} ({params})")
     return dist, d
-
-
-def _partial_algebra(spec, variables, relations, degrees, upto: int, cap: int) -> FiniteAlgebra:
-    """A_upto[x_(upto+1)]/(x_(upto+1)^cap), A_upto the quotient by the first ``upto`` relations.
-
-    Relations are stored over the full variable tuple with zero exponents on
-    the not-yet-constructed variables, so projecting the exponents is safe.
-    With ``upto`` = 0 it is E0[x]/(x^cap), x the first of ``variables``.
-    """
-    sub_vars = variables[:upto + 1]
-    sub_rels = []
-    for i, rel in enumerate(relations[:upto]):
-        terms = {}
-        for expo, c in rel.terms.items():
-            if any(expo[upto:]):
-                raise InternalInconsistency(
-                    f"level ring stage {upto + 1}: relation {i + 1} involves "
-                    f"a variable after x{upto} ({spec.precision_label(cap)})")
-            terms[expo[:upto + 1]] = c
-        sub_rels.append(TruncSeries(spec, sub_vars, None, terms, _clean=True))
-    x_cap = {(0,) * upto + (cap,): CoeffElem.one(spec)}
-    sub_rels.append(TruncSeries(spec, sub_vars, None, x_cap, _clean=True))
-    return FiniteAlgebra(spec, sub_vars, sub_rels, tuple(degrees[:upto]) + (cap,),
-                         label=f"A_{upto}[{sub_vars[-1]}]/({sub_vars[-1]}^{cap})")
 
 
 def _n_series_in_variable(law: FormalGroupLaw, m: int, variables) -> TruncSeries:

@@ -1,32 +1,42 @@
 """Weierstrass division and preparation inside a finite algebra A[x]/(x^T).
 
 Series in x with coefficients in a local finite free algebra A, truncated
-at x^T, form a finite free algebra again: ``ring`` is a
-:class:`~fgl.grouprings.FiniteAlgebra` whose last variable is the series
-variable x and whose last relation is the monic x^T, so T is
-``ring.lead_degrees[-1]``. A is E0 itself for the univariate front end
-(series in x over the coefficient ring) and for the first stage of a group
-ring, and, for the later stages of the triangular level-ring presentations,
-the partial quotient E0[x_1..x_(j-1)]/(relations) with x = x_j. All arithmetic is the ring's: products are ``ring.mul`` (which
-truncates at x^T by reducing with the last relation), "mod x^d" and
-"div x^d" split the terms on the last exponent, the x^k coefficient is a
-unit exactly when the (0,..,0,k) term is, and every series inverse is
-``ring.invert_element``.
+at x^T, form a finite free algebra again: ``ring`` is ``A.adjoin(x, T)``, a
+:class:`~fgl.grouprings.FiniteAlgebra` whose last variable is x and whose
+last relation is x^T, so T is ``ring.lead_degrees[-1]``. A is E0 for the
+univariate front end and the ambient stages of a group ring, and the
+quotient by the earlier relations at a later level stage. All arithmetic is
+the ring's: products are ``ring.mul`` (which truncates at x^T by reducing
+with the last relation), "mod x^d" and "div x^d" split the terms on the last
+exponent, the x^k coefficient is a unit exactly when the (0,..,0,k) term
+is, and every series inverse is ``ring.invert_element``.
 
 Division f = q g + r uses the classical fixed-point iteration: write
-g = v x^d + h with v(0) a unit and h of degree < d supported in the
-maximal ideal, and iterate
+g = v x^d + h with v(0) a unit and h of degree < d, and iterate
 
     q  <-  v^{-1} * ((f - h q) div x^d),    r = (f - h q) mod x^d.
 
-Each step multiplies the previous discrepancy by h. Over a truncated
-coefficient ring the maximal ideal (p, u-vars, x_1..x_(j-1)) is nilpotent,
-so the iterates stabilize; over exact integers they stabilize when degrees
-collapse (v constant). The loop is capped at ((N or 1) + D) * (1 + sum of
-the lead degrees of A) + T + 8 steps and fails with NonConvergence beyond
-it. At the fixed point the identity f = q g + r holds exactly in the
-working (truncated) ring, and the remainder is the truncation of its
-infinite-precision counterpart.
+From q_0 = 0 the discrepancy e_k = q_(k+1) - q_k is -v^{-1} ((h e_(k-1)) div
+x^d), and the loop stops at step k + 1 when e_k = 0. With R the rank of A
+(the product of its lead degrees), that happens within this many steps:
+
+* Finite precision, R (N + D - 1) + 1. The x^i coefficients of h lie in
+  M_A, the maximal ideal of A: their pure parts are non-units of E0, so in
+  m = (p, u), and x_1..x_(j-1) lie in M_A, A being local. So e_k has its
+  coefficients in M_A^k. A / mA is local of dimension R over F_p, so its
+  maximal ideal has zero R-th power and M_A^R lies in mA; m^(N+D-1) = 0 in
+  E0, so e_k = 0 for k = R (N + D - 1).
+* Exact integers, R T + 1. e_(k-1) -> e_k is a Z-linear map on ``ring``,
+  free of rank R T; a vector killed by some power of it is killed by the
+  (R T)-th, since its kernels over Q grow strictly until they stop. Every
+  exact ring built here has A = E0, so the bound is T + 1; it is also the
+  bound whenever v is constant, as the x-degree of e_k then drops each step.
+
+Past the bound the loop fails with NonConvergence, naming p, N, D, T: A is
+not local, or an exact iteration converges only p-adically. At the fixed
+point the identity f = q g + r holds exactly in the working (truncated)
+ring, and the remainder is the truncation of its infinite-precision
+counterpart.
 """
 
 from __future__ import annotations
@@ -69,8 +79,8 @@ def divide(f: TruncSeries, g: TruncSeries, ring) -> tuple[TruncSeries, TruncSeri
     neg_h = -h
 
     spec = ring.spec
-    bound = (((spec.p_precision or 1) + spec.u_degree_cap)
-             * (1 + sum(ring.lead_degrees[:-1])) + cap + 8)
+    bound = 1 + (ring.rank if spec.exact
+                 else ring.rank // cap * (spec.p_precision + spec.u_degree_cap - 1))
     q = ring.zero()
     for _ in range(bound):
         s_high, r = _split(f + ring.mul(neg_h, q), d)
@@ -79,9 +89,9 @@ def divide(f: TruncSeries, g: TruncSeries, ring) -> tuple[TruncSeries, TruncSeri
             return q, r
         q = q_next
     raise NonConvergence(
-        f"division did not stabilize within {bound} iterations "
-        f"(insufficient precision or a non-convergent exact-mode input; "
-        f"{spec.precision_label(cap)})"
+        f"division did not stabilize within the proved bound of {bound} iterations "
+        f"(a non-local coefficient algebra, or an exact input that converges only "
+        f"p-adically; {spec.precision_label(cap)})"
     )
 
 
@@ -129,9 +139,7 @@ def _series_ring(f: TruncSeries):
     """E0[x]/(x^T) for the series ring of f, T its degree cap."""
     from .grouprings import FiniteAlgebra
 
-    x_cap = TruncSeries(f.spec, f.variables, None, {(f.cap,): CoeffElem.one(f.spec)},
-                        _clean=True)
-    return FiniteAlgebra(f.spec, f.variables, [x_cap], (f.cap,), label="E0[x]/(x^T)")
+    return FiniteAlgebra(f.spec, (), [], ()).adjoin(f.variables[0], f.cap)
 
 
 def _lift(f: TruncSeries) -> TruncSeries:

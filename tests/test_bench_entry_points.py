@@ -1,6 +1,9 @@
 import importlib.util
+import io
+import json
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import fgl.cli  # loads every fgl module the benchmark traces
 
@@ -42,3 +45,27 @@ def test_small_tate_job_calls_every_gated_tate_layer(monkeypatch):
     metrics = trace.metrics()
     assert run._TATE
     assert [name for name in run._TATE if not metrics[name]] == []
+
+
+def test_one_job_suite_calls_every_always_gated_layer(tmp_path, monkeypatch):
+    # a traced pass is one cold and one warm run_suite call, every workload is
+    # gated on the _ALWAYS counters, and cli.cache_hits comes from run.py itself
+    layers = load_layers()
+    monkeypatch.setitem(sys.modules, "layers", layers)
+    run = _load("perfbench_run", PERFBENCH / "run.py")
+    jobs = [{"command": "level", "law": "multiplicative", "p": 2, "type": "2"}]
+    config = tmp_path / "jobs.json"
+    config.write_text(json.dumps(jobs))
+    trace = layers.LayerTrace()
+    trace.install()
+    try:
+        for _ in range(2):
+            assert fgl.cli.run_suite(str(config), cache=str(tmp_path / "cache"),
+                                     out=io.StringIO()) == 0
+    finally:
+        trace.uninstall()
+    passes = [{"traced": True, "layers": trace.metrics(), "pass_s": 1.0},
+              {"traced": False, "pass_s": 1.0}]
+    metrics = run.per_layer(SimpleNamespace(jobs=jobs), passes)
+    assert run._ALWAYS
+    assert [name for name in run._ALWAYS if not metrics[name][0]] == []

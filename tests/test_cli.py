@@ -11,7 +11,6 @@ import fgl.grouprings
 import fgl.tate
 from fgl.cli import _default_trunc, job_hash, main, run_job, run_suite
 from fgl.errors import BaselineMismatch
-from fgl.series import TruncSeries
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads"
@@ -207,6 +206,16 @@ def count_builds(monkeypatch, names) -> Counter:
     return counts
 
 
+def test_suite_fills_trunc_once_and_canonicalizes_once_per_record(tmp_path, monkeypatch):
+    config = tmp_path / "jobs.json"
+    config.write_text(json.dumps([{"command": "groupring", "law": "multiplicative",
+                                   "p": 2, "type": "2"}]))
+    counts = count_builds(monkeypatch, ("_default_trunc", "_canonical_job"))
+    assert run_suite(str(config), cache=str(tmp_path / "cache"), out=io.StringIO()) == 0
+    # one canonical job for the cache key, one for the record
+    assert counts == {"_default_trunc": 1, "_canonical_job": 2}
+
+
 def test_tate_job_builds_each_ring_once(monkeypatch):
     names = ("euler_class", "localization_kernel", "level_ring", "group_cohomology_ring")
     counts = count_builds(monkeypatch, names)
@@ -229,24 +238,6 @@ def test_sheaf_eval_job_builds_each_power_once(monkeypatch, r):
     record = run_job({"command": "sheaf-eval", "ring": "Z[t]; psi t -> t^2; p 2", "r": r})
     assert record["outputs"]["passed"]
     assert counts["sheaf_eval"] <= len({0, 1, 2, 3, 4, r})
-
-
-def test_level_relation_in_a_later_variable_exits_2(capsys, monkeypatch):
-    # a stage-1 relation that mentions x2 breaks the triangular presentation
-    partial = fgl.grouprings._partial_algebra
-
-    def corrupted(spec, variables, relations, degrees, *args):
-        if relations:
-            later = TruncSeries.variable(spec, variables, None, variables[-1])
-            relations = [relations[0] + later] + relations[1:]
-        return partial(spec, variables, relations, degrees, *args)
-
-    monkeypatch.setattr(fgl.grouprings, "_partial_algebra", corrupted)
-    code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
-                           "--pprec", "3", "--udeg", "2", "--trunc", "24")
-    assert code == 2
-    assert "InternalInconsistency" in err
-    assert "stage 2" in err and "p=2, N=3, D=2" in err
 
 
 def test_level_stage_failure_names_stage_and_precision(capsys):

@@ -82,6 +82,14 @@ def test_axioms_trivial_samples():
     assert ring.check_axioms([(one, one)])["passed"]
 
 
+def test_non_lift_pair_records_frobenius_lift_and_skips_the_dividing_rules():
+    ring = parse_delta_ring("Z[t]; psi t -> t^2; p 2")
+    t = ring.var("t")
+    ring.psi_images["t"] = t * t + t  # not t^2 mod 2; the constructor refuses it
+    report = ring.check_axioms([(ring.constant(1), ring.constant(1)), (t, ring.constant(1))])
+    assert report == {"passed": False, "checked": 2, "failures": ["pair 1: frobenius lift"]}
+
+
 def test_parse_delta_ring():
     ring = parse_delta_ring("Z[t]; psi t -> t^2; p 2")
     t = ring.var("t")

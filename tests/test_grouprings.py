@@ -1,8 +1,13 @@
+import functools
 import itertools
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import algebra_oracle
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import (
@@ -18,7 +23,6 @@ from fgl.grouprings import (
     AlgebraMap,
     FiniteAlgebra,
     _denominator_product,
-    _partial_algebra,
     character_sums,
     group_cohomology_ring,
     level_ring,
@@ -274,6 +278,74 @@ def test_non_monic_relation_is_internal_inconsistency():
     assert "Level(1)" in str(info.value) and "p=2, N=4" in str(info.value)
 
 
+def test_adjoin_builds_stage_rings_and_renames_relations():
+    stage = FiniteAlgebra(ZX3, (), [], ()).adjoin("x", 5)
+    x = stage.var(0)
+    assert (stage.variables, stage.lead_degrees, stage.rank) == (("x",), (5,), 5)
+    assert stage.relations == [x * x * x * x * x]
+    assert stage.reduce(x * x * x * x * x * x).is_zero()
+    law = lubin_tate_height2_law(LT2_SMALL, 24)
+    level = level_ring(law, AbelianPType((1,)))
+    ring = level.adjoin("x2", 24)
+    assert ring.variables == ("x1", "x2") and ring.lead_degrees == level.lead_degrees + (24,)
+    assert ring.relations[0] == level.relations[0].rename(ring.variables)
+    # the stage-2 relation, given in x1, x2, completes the (1,1) level ring
+    full = level_ring(law, AbelianPType((1, 1)))
+    assert level.adjoin("x2", 2, full.relations[1]).relations == full.relations
+    # a relation in x2 alone is renamed into (x1, x2)
+    two = CoeffElem.from_int(LT2_SMALL, 2)
+    rel = TruncSeries(LT2_SMALL, ("x2",), None, {(3,): CoeffElem.one(LT2_SMALL), (0,): two})
+    assert level.adjoin("x2", 3, rel).relations[1] == rel.rename(ring.variables)
+
+
+@pytest.mark.parametrize("rel1, rel2, bad", [
+    ({(2, 0): 1, (0, 1): 1}, {(0, 3): 1}, 1),  # relation 1 mentions the later x2
+    ({(2, 0): 1, (3, 0): 2}, {(0, 3): 1}, 1),  # a term above the lead x1^2
+    ({(2, 0): 1, (0, 0): 2}, {(0, 3): 1, (1, 3): 1}, 2),  # x1 x2^3 beside the lead x2^3
+], ids=["later-variable", "above-lead", "beside-lead"])
+def test_relation_outside_the_triangular_shape_is_internal_inconsistency(rel1, rel2, bad):
+    spec = CoeffRingSpec(p=2, p_precision=4)
+    rels = [TruncSeries(spec, ("x1", "x2"), None,
+                        {e: CoeffElem.from_int(spec, c) for e, c in rel.items()})
+            for rel in (rel1, rel2)]
+    with pytest.raises(InternalInconsistency) as info:
+        FiniteAlgebra(spec, ("x1", "x2"), rels, (2, 3), label="bad")
+    assert f"bad: relation {bad}" in str(info.value)
+    assert "p=2, N=4, D=1" in str(info.value)
+
+
+@functools.cache
+def reduction_rings() -> dict[str, FiniteAlgebra]:
+    lt2 = lubin_tate_height2_law(LT2_SMALL, 24)
+    return {
+        "ambient Z (2,1)": group_cohomology_ring(multiplicative_law(ZX2, 6), AbelianPType((2, 1))),
+        "ambient lubinTate2 (1,1)": group_cohomology_ring(lt2, AbelianPType((1, 1))),
+        "level lubinTate2 (1,1)": level_ring(lt2, AbelianPType((1, 1))),
+        "stage A_1[x2]/(x2^24)": level_ring(lt2, AbelianPType((1,))).adjoin("x2", 24),
+        "stage E0[x]/(x^8) over Z": FiniteAlgebra(ZX3, (), [], ()).adjoin("x", 8),
+    }
+
+
+@st.composite
+def unreduced_elements(draw, alg: FiniteAlgebra) -> TruncSeries:
+    """Up to 6 terms at x_j-degrees up to twice the lead degrees."""
+    hi = alg.spec.modulus or 10 ** 12
+    expo = st.tuples(*[st.integers(0, 2 * d) for d in alg.lead_degrees])
+    coeff = st.lists(st.integers(-hi, hi), min_size=1, max_size=alg.spec.width)
+    terms = draw(st.dictionaries(expo, coeff, max_size=6))
+    return TruncSeries(alg.spec, alg.variables, None,
+                       {e: CoeffElem(alg.spec, c) for e, c in terms.items()})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(reduction_rings())), st.data())
+def test_reduce_matches_the_rescanning_oracle(name, data):
+    alg = reduction_rings()[name]
+    a, b = data.draw(unreduced_elements(alg)), data.draw(unreduced_elements(alg))
+    for f in (a, a * b):
+        assert alg.reduce(f) == algebra_oracle.reduce(alg, f)
+
+
 def test_unkilled_relation_names_map_index_and_precision():
     ring = group_cohomology_ring(multiplicative_law(ZX2, 6), AbelianPType((2,)))
     # x1 -> 1 sends [4](x1) = (1 + x1)^4 - 1 to 15
@@ -299,8 +371,7 @@ def formal_inverse_denominator(law, ring: FiniteAlgebra) -> TruncSeries:
 def test_denominator_is_the_formal_inverse_one_up_to_a_unit(p, pprec, udeg, cap):
     spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
     law = lubin_tate_height2_law(spec, cap)
-    level = level_ring(law, AbelianPType((1, 1)))
-    ring = _partial_algebra(spec, level.variables, level.relations, level.lead_degrees, 1, cap)
+    ring = level_ring(law, AbelianPType((1,))).adjoin("x2", cap)
     fast = _denominator_product(law, ring)
     slow = formal_inverse_denominator(law, ring)
     q, r = divide(slow, fast, ring)

@@ -5,8 +5,8 @@ import pytest
 
 import fgl.weierstrass
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import InternalInconsistency, NoUnitCoefficient, SpecMismatch
-from fgl.grouprings import AbelianPType, _denominator_product, _partial_algebra, level_ring
+from fgl.errors import InternalInconsistency, NonConvergence, NoUnitCoefficient, SpecMismatch
+from fgl.grouprings import AbelianPType, FiniteAlgebra, _denominator_product, level_ring
 from fgl.laws import lubin_tate_height2_law, multiplicative_law
 from fgl.series import TruncSeries
 from fgl.weierstrass import (
@@ -171,6 +171,47 @@ def test_lubin_tate_prepared_low_coefficients_cap_independent():
             assert all(c % (2 ** M) == 0 for c in lin.terms)
 
 
+def counted_steps(monkeypatch) -> list:
+    """One entry per ``_split``: the divisor's split, then one per division step."""
+    calls = []
+    split = fgl.weierstrass._split
+
+    def counting(f, d):
+        calls.append(d)
+        return split(f, d)
+
+    monkeypatch.setattr(fgl.weierstrass, "_split", counting)
+    return calls
+
+
+def test_exact_division_stops_at_the_proved_bound(monkeypatch):
+    # g = 2 + x + x^2 has v = 1 + x, not constant: x^7 / g converges only
+    # 2-adically, so no step repeats; over Z at T = 8 the bound is R T + 1 = 9
+    calls = counted_steps(monkeypatch)
+    with pytest.raises(NonConvergence) as info:
+        weierstrass_divide(poly(ZX2, 8, {7: 1}), poly(ZX2, 8, {0: 2, 1: 1, 2: 1}))
+    assert len(calls) - 1 == 9
+    assert "bound of 9 iterations" in str(info.value)
+    assert "p=2, N=None, D=1, T=8" in str(info.value)
+
+
+def test_division_over_a_non_local_algebra_stops_at_the_proved_bound(monkeypatch):
+    # A = Z/4[y]/(y^2 - y) is not local: h = y is idempotent, never nilpotent,
+    # so g = y + x + x^2 never stabilizes; the bound R (N + D - 1) + 1 = 5 holds
+    spec = CoeffRingSpec(p=2, p_precision=2)
+    one = CoeffElem.one(spec)
+    idempotent = TruncSeries(spec, ("y",), None, {(2,): one, (1,): -one})
+    ring = FiniteAlgebra(spec, (), [], ()).adjoin("y", 2, idempotent).adjoin("x", 6)
+    f = TruncSeries(spec, ring.variables, None, {(1, 3): one})
+    g = TruncSeries(spec, ring.variables, None, {(1, 0): one, (0, 1): one, (0, 2): one})
+    calls = counted_steps(monkeypatch)
+    with pytest.raises(NonConvergence) as info:
+        divide(f, g, ring)
+    assert len(calls) - 1 == 5
+    assert "bound of 5 iterations" in str(info.value)
+    assert "p=2, N=2, D=1, T=6" in str(info.value)
+
+
 def test_front_end_rejects_non_univariate_or_uncapped_series():
     bivariate = TruncSeries.variable(Z2_4, ("x", "y"), 8, "x")
     with pytest.raises(SpecMismatch):
@@ -202,9 +243,7 @@ def test_prepare_not_distinguished_is_internal_inconsistency(monkeypatch):
 def stage_two_ring():
     """A_1[x2]/(x2^24) for lubinTate2 (2, 3, 2) type 1,1, and the level denominator."""
     law = lubin_tate_height2_law(LT2_SMALL, 24)
-    level = level_ring(law, AbelianPType((1, 1)))
-    ring = _partial_algebra(law.spec, level.variables, level.relations,
-                            level.lead_degrees, 1, law.cap)
+    ring = level_ring(law, AbelianPType((1,))).adjoin("x2", law.cap)
     return ring, _denominator_product(law, ring)
 
 

@@ -71,25 +71,32 @@ def code_fingerprint() -> str:
     return f"{__version__}+{digest.hexdigest()}"
 
 
+def _positive(job: dict, key: str, default):
+    """``job[key]`` as an int, which must be >= 1; ``default`` when the job has none."""
+    value = default if job.get(key) is None else int(job[key])
+    if value is not None and value < 1:
+        raise ValueError(f"{key} must be a positive integer, got {value}")
+    return value
+
+
 def _spec(job: dict) -> CoeffRingSpec:
     """The coefficient ring of the job's law; lubinTate2 defaults to N = 8, D = 6."""
     name = job["law"]
     p = int(job["p"])
-    pprec = int(job["pprec"]) if job.get("pprec") else None
     if name in ("multiplicative", "additive"):
-        return CoeffRingSpec(p=p, p_precision=pprec)
+        return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", None))
     if name == "honda":
         return CoeffRingSpec(p=p, p_precision=1)
     if name == "lubinTate2":
-        return CoeffRingSpec(p=p, p_precision=pprec or 8, deformation_params=1,
-                             u_degree_cap=int(job.get("udeg") or 6))
+        return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", 8), deformation_params=1,
+                             u_degree_cap=_positive(job, "udeg", 6))
     raise ValueError(f"unknown law {name!r} (choose from {', '.join(LAWS)})")
 
 
 def _build_law(job: dict) -> FormalGroupLaw:
     spec, trunc = _spec(job), int(job["trunc"])
     if job["law"] == "honda":
-        return honda_law(spec, int(job.get("height") or 1), trunc)
+        return honda_law(spec, _positive(job, "height", 1), trunc)
     build = {"multiplicative": multiplicative_law, "additive": additive_law,
              "lubinTate2": lubin_tate_height2_law}[job["law"]]
     return build(spec, trunc)
@@ -104,9 +111,9 @@ def _default_trunc(job: dict) -> int:
     spec = _spec(job)
     p = spec.p
     # a deformation ring has height deformation_params + 1; otherwise the job says
-    n = spec.height if spec.deformation_params else int(job.get("height") or 1)
+    n = spec.height if spec.deformation_params else _positive(job, "height", 1)
     if command == "prepare":
-        return max(16, p ** (int(job.get("M", 1)) * n) + 4)
+        return max(16, p ** (_positive(job, "M", 1) * n) + 4)
     gtype = AbelianPType.parse(str(job.get("type", "1")))
     need = max(p ** (m * n) for m in gtype.exponents) + 4
     if command == "level" and gtype.rank > 1 and not spec.exact:
@@ -163,7 +170,7 @@ def _dispatch(command: str, job: dict) -> dict:
                 "trunc": law.cap, "axioms": axioms, "passed": all(axioms.values())}
     if command == "prepare":
         law = _build_law(job)
-        M = int(job.get("M", 1))
+        M = _positive(job, "M", 1)
         pprec = law.spec.p_precision
         warning = None
         if pprec is not None and pprec <= M:
@@ -211,7 +218,7 @@ def _dispatch(command: str, job: dict) -> dict:
     if command == "delta-check":
         ring = parse_delta_ring(str(job["ring"]),
                                 default_p=int(job["p"]) if job.get("p") else None)
-        samples = int(job.get("samples", 100))
+        samples = _positive(job, "samples", 100)
         seed = int(job.get("seed", 0))
         rng = random.Random(seed)
         pairs = [(ring.random_element(rng), ring.random_element(rng))

@@ -26,6 +26,9 @@ from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import NotAFrobeniusLift, TruncationTooSmall
 from .series import TruncSeries
 
+# a random sample element: 1 to 4 terms, exponents to 3, coefficients in [-9, 9]
+SAMPLE_MAX_DEGREE, SAMPLE_MAX_TERMS, SAMPLE_COEFF_BOUND = 3, 4, 9
+
 
 class DeltaRing:
     """Z[generators] with a Frobenius lift psi."""
@@ -34,12 +37,8 @@ class DeltaRing:
         self.p = p
         self.spec = CoeffRingSpec(p=p, p_precision=None)
         self.generators = tuple(generators)
-        self.psi_images = {}
-        for g in self.generators:
-            img = psi_images[g]
-            if img.variables != self.generators:
-                img = img.rename(self.generators, cap=None)
-            self.psi_images[g] = img
+        self.psi_images = {g: psi_images[g].rename(self.generators, None)
+                           for g in self.generators}
         for g in self.generators:
             gen = self.var(g)
             defect = self.psi_images[g] - _power(gen, p)
@@ -58,13 +57,13 @@ class DeltaRing:
             self.spec, self.generators, None, CoeffElem.from_int(self.spec, value)
         )
 
-    def random_element(self, rng: random.Random, max_degree: int = 3,
-                       max_terms: int = 4, coeff_bound: int = 9) -> TruncSeries:
+    def random_element(self, rng: random.Random) -> TruncSeries:
         terms = {}
         k = len(self.generators)
-        for _ in range(rng.randrange(1, max_terms + 1)):
-            expo = tuple(rng.randrange(0, max_degree + 1) for _ in range(k))
-            terms[expo] = CoeffElem.from_int(self.spec, rng.randrange(-coeff_bound, coeff_bound + 1))
+        for _ in range(rng.randrange(1, SAMPLE_MAX_TERMS + 1)):
+            expo = tuple(rng.randrange(0, SAMPLE_MAX_DEGREE + 1) for _ in range(k))
+            terms[expo] = CoeffElem.from_int(
+                self.spec, rng.randrange(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND + 1))
         return TruncSeries(self.spec, self.generators, None, terms)
 
     # -- operations ---------------------------------------------------------
@@ -151,7 +150,7 @@ def parse_delta_ring(text: str, default_p: int | None = None) -> DeltaRing:
     else:
         generators = ()
     p = default_p
-    images_text: dict[str, str] = {}
+    clauses: dict[str, tuple[str, str]] = {}  # generator -> (its psi clause, the image)
     for part in parts[1:]:
         if part.startswith("p "):
             p = int(part[2:])
@@ -159,22 +158,33 @@ def parse_delta_ring(text: str, default_p: int | None = None) -> DeltaRing:
             body = part[3:].strip()
             if body == "id" or not body:
                 continue
-            lhs, rhs = body.split("->")
-            images_text[lhs.strip()] = rhs.strip()
+            lhs, arrow, rhs = (s.strip() for s in body.partition("->"))
+            if not arrow:
+                raise ValueError(f"clause {part!r}: expected 'psi <generator> -> <image>'")
+            if lhs not in generators:
+                raise ValueError(f"clause {part!r}: {lhs!r} is not a generator of {head}")
+            if lhs in clauses:
+                raise ValueError(f"clause {part!r}: a second psi clause for {lhs}")
+            clauses[lhs] = (part, rhs)
+        else:
+            raise ValueError(f"clause {part!r}: expected 'p <prime>' or 'psi ...'")
     if p is None:
         raise ValueError("missing 'p <prime>' clause (or pass --p)")
     spec = CoeffRingSpec(p=p, p_precision=None)
-    images = {}
-    for g in generators:
-        if g in images_text:
-            images[g] = _parse_poly(images_text[g], generators, spec)
-        else:
-            images[g] = TruncSeries.variable(spec, generators, None, g)
+    images = {g: TruncSeries.variable(spec, generators, None, g) for g in generators}
+    for g, (part, rhs) in clauses.items():
+        try:
+            images[g] = _parse_poly(rhs, generators, spec)
+        except ValueError as exc:
+            raise ValueError(f"clause {part!r}: {exc}") from None
     return DeltaRing(generators, images, p)
 
 
 def _parse_poly(text: str, generators: tuple[str, ...], spec: CoeffRingSpec) -> TruncSeries:
-    tree = ast.parse(text.replace("^", "**"), mode="eval")
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise ValueError(f"{text!r} is not a polynomial expression") from None
 
     def ev(node) -> TruncSeries:
         if isinstance(node, ast.Expression):
@@ -190,13 +200,15 @@ def _parse_poly(text: str, generators: tuple[str, ...], spec: CoeffRingSpec) -> 
             if isinstance(node.op, ast.Pow):
                 if not isinstance(node.right, ast.Constant):
                     raise ValueError("exponent must be a literal integer")
-                return _power(left, int(node.right.value))
+                return _power(left, node.right.value)  # an int: ev(node.right) checked it
             raise ValueError(f"unsupported operator {node.op}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -ev(node.operand)
         if isinstance(node, ast.Constant):
-            return TruncSeries.constant(
-                spec, generators, None, CoeffElem.from_int(spec, int(node.value)))
+            if type(node.value) is not int:  # a float or a bool is not an integer literal
+                raise ValueError(f"{node.value!r} is not an integer literal")
+            value = CoeffElem.from_int(spec, node.value)
+            return TruncSeries.constant(spec, generators, None, value)
         if isinstance(node, ast.Name):
             if node.id not in generators:
                 raise ValueError(f"unknown generator {node.id}")

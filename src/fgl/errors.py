@@ -13,7 +13,7 @@ class FGLError(Exception):
 
 class SpecMismatch(FGLError):
     """An operand does not fit its ring: another coefficient ring, a wrong
-    arity, or a missing variable image."""
+    arity, a missing variable image, or a law parameter out of range."""
 
 
 class NotAUnit(FGLError):

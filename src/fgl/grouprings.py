@@ -24,9 +24,9 @@ an exact quotient of p-power series:
 Every relation, ambient or level, comes from one stage. The stage ring
 A_(j-1)[x_j]/(x_j^T) is ``A_(j-1).adjoin(x_j, T)``, A_(j-1) the quotient by
 the relations before it (E0 = ``FiniteAlgebra(spec, (), [], ())`` for every
-ambient relation, since those are independent). There [p^m](x_j) is divided
-by its denominator with ``weierstrass.divide`` (ambient relations skip
-this), the quotient is factored with ``weierstrass.prepare``, and the
+ambient relation, since those are independent). There [p^m](x) renamed
+cap-free into x_j is divided by its denominator with ``weierstrass.divide``
+(ambient relations skip this), the quotient is factored with ``weierstrass.prepare``, and the
 distinguished factor, checked for its expected degree d, is the relation:
 A_j = ``A_(j-1).adjoin(x_j, d, relation)``.
 
@@ -137,7 +137,7 @@ class FiniteAlgebra:
             relation = TruncSeries(self.spec, (x,), None, {(degree,): CoeffElem.one(self.spec)},
                                    _clean=True)
         return FiniteAlgebra(self.spec, variables,
-                             [rel.rename(variables) for rel in self.relations + [relation]],
+                             [rel.rename(variables, None) for rel in self.relations + [relation]],
                              self.lead_degrees + (degree,),
                              label=label or f"{self.label or 'E0'}[{x}]/({x}^{degree})")
 
@@ -173,7 +173,7 @@ class FiniteAlgebra:
         is cap-free.
         """
         if f.variables != self.variables:
-            f = f.rename(self.variables, cap=None)
+            f = f.rename(self.variables, None)
         terms = dict(f.terms)
         for j in range(len(self.variables) - 1, -1, -1):
             self._reduce_in_var(terms, j)
@@ -330,8 +330,8 @@ def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
     alg = FiniteAlgebra(spec, (), [], ())
     for j, x in enumerate(_variables(gtype.rank), 1):
         ring = alg.adjoin(x, law.cap)
-        denom = (_n_series_in_variable(law, p ** (m - 1), ring.variables) if j == 1
-                 else _denominator_product(law, ring))
+        denom = (law.n_series(p ** (m - 1)).series.rename(ring.variables, None, {"x": x})
+                 if j == 1 else _denominator_product(law, ring))
         # the denominator has Weierstrass degree p^((m-1) n) at stage 1, p^(j-1) after
         expected = p ** (m * n) - p ** ((m - 1) * n + j - 1)
         dist, d = _stage_relation(law, ring, p ** m, denom, expected, f"{label} stage {j}")
@@ -362,7 +362,7 @@ def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,
         raise TruncationTooSmall(
             f"{stage}: cap {cap} cannot resolve the degree {m ** law.height_hint} "
             f"of [{m}]({x}) ({params})")
-    f = _n_series_in_variable(law, m, ring.variables)
+    f = law.n_series(m).series.rename(ring.variables, None, {"x": x})
     if denominator is not None:
         f, r = w_divide(f, denominator, ring)
         if not r.is_zero():
@@ -376,23 +376,17 @@ def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,
     return dist, d
 
 
-def _n_series_in_variable(law: FormalGroupLaw, m: int, variables) -> TruncSeries:
-    """[m](x) in the last of ``variables``, cap-free: its terms copied into that slot."""
-    zeros = (0,) * (len(variables) - 1)
-    terms = {zeros + expo: c for expo, c in law.n_series(m).series.terms.items()}
-    return TruncSeries(law.spec, tuple(variables), None, terms, _clean=True)
-
-
-def character_sums(law: FormalGroupLaw, variables: list[TruncSeries],
+def character_sums(law: FormalGroupLaw, variables: tuple[str, ...],
                    orders: list[int]) -> list[TruncSeries]:
     """[a_1](x_1) +_F ... +_F [a_k](x_k) for every 0 <= a_i < orders[i].
 
-    ``variables`` are the series x_1..x_k (k >= 1) in one common ring. The
-    sums come in ``itertools.product`` order, so the zero tuple is first;
-    each is folded from the left, sharing the partial sums of its prefix.
+    They live in the ring of ``variables`` at the law's cap, x_i its i-th
+    name (k = len(orders) >= 1). They come in ``itertools.product`` order, so
+    the zero tuple is first; each is folded from the left, sharing the
+    partial sums of its prefix.
     """
-    multiples = [[law.n_series(a).series.subst({"x": x}) for a in range(order)]
-                 for x, order in zip(variables, orders)]
+    multiples = [[law.n_series(a).series.rename(variables, law.cap, {"x": x})
+                  for a in range(order)] for x, order in zip(variables, orders)]
     sums = multiples[0]
     for row in multiples[1:]:
         sums = [law.formal_sum(s, t) for s, t in itertools.product(sums, row)]
@@ -406,10 +400,8 @@ def _denominator_product(law: FormalGroupLaw, ring: FiniteAlgebra) -> TruncSerie
     and every product is ``ring.mul``.
     """
     xj = ring.var(len(ring.variables) - 1)
-    lower = [TruncSeries.variable(law.spec, ring.variables, law.cap, v)
-             for v in ring.variables[:-1]]
     out = ring.one()
-    for s in character_sums(law, lower, [law.spec.p] * len(lower)):
+    for s in character_sums(law, ring.variables, [law.spec.p] * (len(ring.variables) - 1)):
         out = ring.mul(out, xj - ring.reduce(s))
     return out
 
@@ -443,7 +435,7 @@ def restriction_map(law: FormalGroupLaw, sub_exponent: int, super_exponent: int)
     restriction = AlgebraMap(
         big, small, {"x1": small.var(0)}, label=f"res C_p^{sub_exponent} < C_p^{super_exponent}"
     )
-    p_image = big.reduce(_n_series_in_variable(law, law.spec.p, big.variables))
+    p_image = big.reduce(law.n_series(law.spec.p).series.rename(big.variables, None, {"x": "x1"}))
     inflation = AlgebraMap(
         small, big, {"x1": p_image}, label=f"inf C_p^{super_exponent} ->> C_p^{sub_exponent}"
     )

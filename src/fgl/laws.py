@@ -120,20 +120,15 @@ class FormalGroupLaw:
 
     def check_axioms(self) -> dict[str, bool]:
         """Verify unit, commutativity and associativity up to the cap."""
-        spec, cap = self.spec, self.cap
-        x = TruncSeries.variable(spec, ("x", "y"), cap, "x")
-        y = TruncSeries.variable(spec, ("x", "y"), cap, "y")
-        zero2 = TruncSeries.zero(spec, ("x", "y"), cap)
-        unit_ok = self.F.subst({"x": x, "y": zero2}) == x and \
-            self.F.subst({"x": zero2, "y": y}) == y
-        comm_ok = self.F.subst({"x": y, "y": x}) == self.F
+        spec, cap, F = self.spec, self.cap, self.F
+        x, y = (TruncSeries.variable(spec, F.variables, cap, v) for v in F.variables)
+        zero2 = TruncSeries.zero(spec, F.variables, cap)
+        unit_ok = F.subst({"x": x, "y": zero2}) == x and F.subst({"x": zero2, "y": y}) == y
+        comm_ok = F.rename(F.variables, cap, {"x": "y", "y": "x"}) == F
         tri = ("x", "y", "z")
-        tx = TruncSeries.variable(spec, tri, cap, "x")
-        ty = TruncSeries.variable(spec, tri, cap, "y")
-        tz = TruncSeries.variable(spec, tri, cap, "z")
-        xy = self.F.subst({"x": tx, "y": ty})
-        yz = self.F.subst({"x": ty, "y": tz})
-        assoc_ok = self.F.subst({"x": xy, "y": tz}) == self.F.subst({"x": tx, "y": yz})
+        tx, tz = (TruncSeries.variable(spec, tri, cap, v) for v in ("x", "z"))
+        xy, yz = F.rename(tri, cap), F.rename(tri, cap, {"x": "y", "y": "z"})
+        assoc_ok = F.subst({"x": xy, "y": tz}) == F.subst({"x": tx, "y": yz})
         return {"unit": unit_ok, "commutative": comm_ok, "associative": assoc_ok}
 
     def __repr__(self) -> str:
@@ -215,14 +210,14 @@ def _twist(a: Scaled, p: int) -> Scaled:
 
 
 def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
-                  width: int, height: int, name: str) -> FormalGroupLaw:
+                  height: int, name: str) -> FormalGroupLaw:
     """Build F = l^{-1}(l(x) + l(y)) from a sparse logarithm.
 
     ``log_coeffs`` maps j to l_j, a u-polynomial mod u^width in p-scaled
-    form, with l_1 = 1. The compositional inverse E = l^{-1} is found degree
-    by degree from sum_j l_j E(z)^j = z: with G = E/z, the coefficient
-    [z^k] E^j = [z^(k-j)] G^j comes from J.C.P. Miller's power recurrence
-    (Knuth, TAOCP vol. 2, 4.7)
+    form (width = ``spec.width``), with l_1 = 1. The compositional inverse
+    E = l^{-1} is found degree by degree from sum_j l_j E(z)^j = z: with
+    G = E/z, the coefficient [z^k] E^j = [z^(k-j)] G^j comes from J.C.P.
+    Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7)
 
         c_0 = 1,  c_n = (1/n) sum_{i=1..n} ((j+1) i - n) g_i c_{n-i},
 
@@ -234,7 +229,7 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
     are formed. S's coefficients share one scale, and so do the accumulator's:
     a step is integer convolutions and adds.
     """
-    p = spec.p
+    p, width = spec.p, spec.width
 
     def fail(what: str) -> IntegralityFailure:
         return IntegralityFailure(f"{name}: {what} ({spec.precision_label(cap)})")
@@ -310,6 +305,8 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
 
 def honda_law(spec: CoeffRingSpec, n: int, cap: int) -> FormalGroupLaw:
     """The p-typical height-n law over F_p; [p](x) = x^(p^n) mod p."""
+    if n < 1:
+        raise SpecMismatch(f"honda law needs height n >= 1, got {n}")
     if spec.exact or spec.p_precision != 1:
         raise SpecMismatch("honda law needs coefficients mod p (p_precision = 1)")
     if spec.deformation_params != 0:
@@ -325,7 +322,7 @@ def honda_law(spec: CoeffRingSpec, n: int, cap: int) -> FormalGroupLaw:
         log_coeffs[k] = ([1], i)
         k *= spec.p ** n
         i += 1
-    return _law_from_log(spec, cap, log_coeffs, 1, n, f"honda({n})")
+    return _law_from_log(spec, cap, log_coeffs, n, f"honda({n})")
 
 
 def lubin_tate_height2_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
@@ -353,4 +350,4 @@ def lubin_tate_height2_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
         ints, s = _lincomb([(1, u_prev), (1, _twist(_twist(prev2, p), p))], p, width)
         log_coeffs[k] = _strip(ints, s + 1, p)
         k *= p
-    return _law_from_log(spec, cap, log_coeffs, width, 2, "lubinTate(2)")
+    return _law_from_log(spec, cap, log_coeffs, 2, "lubinTate(2)")

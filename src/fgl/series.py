@@ -215,18 +215,19 @@ class TruncSeries:
                 acc[e] = acc[e] + v if e in acc else v
         return TruncSeries(model.spec, model.variables, model.cap, acc)  # drops the zeros
 
-    def rename(self, variables: tuple[str, ...], cap: int | None = None) -> "TruncSeries":
-        """Reinterpret in a (possibly larger) variable list, by name."""
+    def rename(self, variables: tuple[str, ...], cap: int | None,
+               names: dict[str, str] | None = None) -> "TruncSeries":
+        """This series in the ring of ``variables`` at ``cap`` (terms at or above
+        it dropped; None drops none). Own variable v goes to the slot of
+        ``names.get(v, v)``, all at once, so a swap is one rename; injective."""
         variables = tuple(variables)
-        idx = [variables.index(v) for v in self.variables]
-        new_cap = self.cap if cap is None else cap
-        terms: dict[Expo, CoeffElem] = {}
-        for expo, c in self.terms.items():
-            new = [0] * len(variables)
-            for pos, e in zip(idx, expo):
-                new[pos] = e
-            terms[tuple(new)] = c
-        return TruncSeries(self.spec, variables, new_cap, terms)
+        targets = [(names or {}).get(v, v) for v in self.variables]
+        if len(set(targets)) != len(targets) or not set(targets) <= set(variables):
+            raise SpecMismatch(f"cannot rename {self.variables} into {variables} by {names}")
+        source = [targets.index(v) if v in targets else None for v in variables]
+        terms = {tuple(0 if i is None else expo[i] for i in source): c
+                 for expo, c in self.terms.items() if cap is None or sum(expo) < cap}
+        return TruncSeries(self.spec, variables, cap, terms, _clean=True)
 
     # -- comparisons / display ------------------------------------------------
 

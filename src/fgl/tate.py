@@ -69,10 +69,8 @@ class EulerClassData:
 
 def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
     ambient = group_cohomology_ring(law, gtype)
-    p = law.spec.p
-    spec = law.spec
-    xs = [TruncSeries.variable(spec, ambient.variables, law.cap, v) for v in ambient.variables]
-    sums = character_sums(law, xs, [p ** m for m in gtype.exponents])
+    spec, p = law.spec, law.spec.p
+    sums = character_sums(law, ambient.variables, [p ** m for m in gtype.exponents])
     factors = [ambient.reduce(s) for s in sums[1:]]  # sums[0] is the zero tuple
     product = ambient.one()
     for factor in factors:

@@ -5,11 +5,13 @@ at x^T, form a finite free algebra again: ``ring`` is ``A.adjoin(x, T)``, a
 :class:`~fgl.grouprings.FiniteAlgebra` whose last variable is x and whose
 last relation is x^T, so T is ``ring.lead_degrees[-1]``. A is E0 for the
 univariate front end and the ambient stages of a group ring, and the
-quotient by the earlier relations at a later level stage. All arithmetic is
-the ring's: products are ``ring.mul`` (which truncates at x^T by reducing
-with the last relation), "mod x^d" and "div x^d" split the terms on the last
-exponent, the x^k coefficient is a unit exactly when the (0,..,0,k) term
-is, and every series inverse is ``ring.invert_element``.
+quotient by the earlier relations at a later level stage. A series enters
+and leaves ``ring`` by ``TruncSeries.rename`` (the front end renames to cap
+None and back to T). All arithmetic is the ring's: products are
+``ring.mul`` (which truncates at x^T by reducing with the last relation),
+"mod x^d" and "div x^d" split the terms on the last exponent, the x^k
+coefficient is a unit exactly when the (0,..,0,k) term is, and every
+series inverse is ``ring.invert_element``.
 
 Division f = q g + r uses the classical fixed-point iteration: write
 g = v x^d + h with v(0) a unit and h of degree < d, and iterate
@@ -142,15 +144,6 @@ def _series_ring(f: TruncSeries):
     return FiniteAlgebra(f.spec, (), [], ()).adjoin(f.variables[0], f.cap)
 
 
-def _lift(f: TruncSeries) -> TruncSeries:
-    """f as an element of E0[x]/(x^T): its terms already lie below x^T."""
-    return TruncSeries(f.spec, f.variables, None, f.terms, _clean=True)
-
-
-def _capped(f: TruncSeries, model: TruncSeries) -> TruncSeries:
-    return TruncSeries(model.spec, model.variables, model.cap, f.terms, _clean=True)
-
-
 def weierstrass_degree(f: TruncSeries) -> int:
     """Smallest d whose x^d coefficient is a unit mod (p, u-variables)."""
     _require_univariate(f)
@@ -162,13 +155,12 @@ def weierstrass_divide(f: TruncSeries, g: TruncSeries) -> tuple[TruncSeries, Tru
     _require_univariate(g)
     if f.spec != g.spec or f.variables != g.variables or f.cap != g.cap:
         raise SpecMismatch("dividend and divisor live in different series rings")
-    q, r = divide(_lift(f), _lift(g), _series_ring(f))
-    return _capped(q, f), _capped(r, f)
+    q, r = divide(f.rename(f.variables, None), g.rename(g.variables, None), _series_ring(f))
+    return q.rename(f.variables, f.cap), r.rename(f.variables, f.cap)
 
 
 def weierstrass_prepare(f: TruncSeries) -> WeierstrassFactorization:
     _require_univariate(f)
-    unit, dist, d = prepare(_lift(f), _series_ring(f))
-    return WeierstrassFactorization(
-        unit=_capped(unit, f), distinguished=_capped(dist, f), degree=d,
-    )
+    unit, dist, d = prepare(f.rename(f.variables, None), _series_ring(f))
+    return WeierstrassFactorization(unit=unit.rename(f.variables, f.cap),
+                                    distinguished=dist.rename(f.variables, f.cap), degree=d)

@@ -315,3 +315,41 @@ def workload_group_ring_jobs() -> list:
 def test_workload_job_matches_committed_digest(workload, job):
     expected = json.loads((WORKLOADS / f"{workload}.baseline.json").read_text())
     assert run_job(job)["digest"] in expected
+
+
+# every malformed input is a one-line usage error (exit 1), never a traceback
+RING = "Z[t]; psi t -> t^2; p 2"
+MALFORMED = [
+    (["series", "--law", "honda", "--p", "2", "--height", "-1", "--m", "2", "--trunc", "6"],
+     "height"),
+    (["series", "--law", "honda", "--p", "2", "--height", "0", "--m", "2", "--trunc", "6"],
+     "height"),
+    (["check-axioms", "--law", "multiplicative", "--p", "2", "--pprec", "0"], "pprec"),
+    (["check-axioms", "--law", "lubinTate2", "--p", "2", "--pprec", "0", "--trunc", "8"],
+     "pprec"),
+    (["check-axioms", "--law", "lubinTate2", "--p", "2", "--udeg", "0", "--trunc", "8"], "udeg"),
+    (["prepare", "--law", "multiplicative", "--p", "2", "--M", "-1"], "M"),
+    (["prepare", "--law", "multiplicative", "--p", "2", "--M", "-1", "--trunc", "16"], "M"),
+    (["delta-check", "--ring", RING, "--samples", "-1"], "samples"),
+    (["delta-check", "--ring", RING, "--samples", "0"], "samples"),
+    (["delta-check", "--ring", "Z[t]; psi t -> t^^2; p 2"], "psi t -> t^^2"),
+    (["delta-check", "--ring", "Z[t]; psi t -> t^2.7; p 2"], "psi t -> t^2.7"),
+    (["delta-check", "--ring", "Z[t]; psi t -> 2.5*t; p 2"], "psi t -> 2.5*t"),
+    (["delta-check", "--ring", "Z[t]; psi t; p 2"], "psi t"),
+    (["delta-check", "--ring", "Z[t]; psi t -> t^2; psi s -> 5; p 2"], "psi s -> 5"),
+    (["delta-check", "--ring", "Z[t]; psi t -> t^2; psi t -> t^3 + t; p 2"],
+     "psi t -> t^3 + t"),
+]
+
+
+@pytest.mark.parametrize("argv, names", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+def test_malformed_input_is_a_one_line_usage_error(capsys, argv, names):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"fgl {argv[0]}: ") and names in err
+
+
+def test_trunc_zero_still_means_the_default():
+    job = {"command": "series", "law": "multiplicative", "p": 2, "m": 8}
+    assert run_job({**job, "trunc": 0})["digest"] == run_job(job)["digest"]

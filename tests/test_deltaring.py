@@ -90,6 +90,23 @@ def test_non_lift_pair_records_frobenius_lift_and_skips_the_dividing_rules():
     assert report == {"passed": False, "checked": 2, "failures": ["pair 1: frobenius lift"]}
 
 
+@pytest.mark.parametrize("text, clause, reason", [
+    ("Z[t]; psi t -> t^^2; p 2", "psi t -> t^^2", "'t^^2' is not a polynomial expression"),
+    ("Z[t]; psi t -> t^2.7; p 2", "psi t -> t^2.7", "2.7 is not an integer literal"),
+    ("Z[t]; psi t -> 2.5*t; p 2", "psi t -> 2.5*t", "2.5 is not an integer literal"),
+    ("Z[t]; psi t -> t^True; p 2", "psi t -> t^True", "True is not an integer literal"),
+    ("Z[t]; psi t; p 2", "psi t", "expected 'psi <generator> -> <image>'"),
+    ("Z[t]; psi t -> t^2; psi s -> 5; p 2", "psi s -> 5", "'s' is not a generator of Z[t]"),
+    ("Z[t]; psi t -> t^2; psi t -> t^2 + 2; p 2", "psi t -> t^2 + 2",
+     "a second psi clause for t"),
+    ("Z[t]; phi t -> t^2; p 2", "phi t -> t^2", "expected 'p <prime>' or 'psi ...'"),
+])
+def test_malformed_psi_clause_is_a_value_error_naming_it(text, clause, reason):
+    with pytest.raises(ValueError) as info:
+        parse_delta_ring(text)
+    assert str(info.value) == f"clause {clause!r}: {reason}"
+
+
 def test_parse_delta_ring():
     ring = parse_delta_ring("Z[t]; psi t -> t^2; p 2")
     t = ring.var("t")

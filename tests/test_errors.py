@@ -94,3 +94,7 @@ def test_malformed_elements_are_spec_mismatch():
         x.coefficient_of_degree(1)
     with pytest.raises(SpecMismatch):
         x.subst({"x": x})
+    with pytest.raises(SpecMismatch):  # a rename must be injective
+        x.rename(("x", "y"), 4, {"x": "y"})
+    with pytest.raises(SpecMismatch):  # into names of the target ring
+        x.rename(("x", "z"), 4)

@@ -259,7 +259,7 @@ def test_character_sums_order_and_values():
                         (lubin_tate_height2_law(LT2_SMALL, 8), (2, 2))):
         variables = ("x1", "x2")
         xs = [TruncSeries.variable(law.spec, variables, law.cap, v) for v in variables]
-        sums = character_sums(law, xs, list(orders))
+        sums = character_sums(law, variables, list(orders))
         assert len(sums) == orders[0] * orders[1]
         assert sums[0].is_zero()
         for combo, got in zip(itertools.product(*map(range, orders)), sums, strict=True):
@@ -288,14 +288,14 @@ def test_adjoin_builds_stage_rings_and_renames_relations():
     level = level_ring(law, AbelianPType((1,)))
     ring = level.adjoin("x2", 24)
     assert ring.variables == ("x1", "x2") and ring.lead_degrees == level.lead_degrees + (24,)
-    assert ring.relations[0] == level.relations[0].rename(ring.variables)
+    assert ring.relations[0] == level.relations[0].rename(ring.variables, None)
     # the stage-2 relation, given in x1, x2, completes the (1,1) level ring
     full = level_ring(law, AbelianPType((1, 1)))
     assert level.adjoin("x2", 2, full.relations[1]).relations == full.relations
     # a relation in x2 alone is renamed into (x1, x2)
     two = CoeffElem.from_int(LT2_SMALL, 2)
     rel = TruncSeries(LT2_SMALL, ("x2",), None, {(3,): CoeffElem.one(LT2_SMALL), (0,): two})
-    assert level.adjoin("x2", 3, rel).relations[1] == rel.rename(ring.variables)
+    assert level.adjoin("x2", 3, rel).relations[1] == rel.rename(ring.variables, None)
 
 
 @pytest.mark.parametrize("rel1, rel2, bad", [
@@ -360,9 +360,8 @@ def formal_inverse_denominator(law, ring: FiniteAlgebra) -> TruncSeries:
     through ``formal_inverse``, multiplied at total degree T, then reduced."""
     cap, spec, variables = law.cap, law.spec, ring.variables
     xj = TruncSeries.variable(spec, variables, cap, variables[-1])
-    lower = [TruncSeries.variable(spec, variables, cap, v) for v in variables[:-1]]
     out = TruncSeries.one(spec, variables, cap)
-    for s in character_sums(law, lower, [spec.p] * len(lower)):
+    for s in character_sums(law, variables, [spec.p] * (len(variables) - 1)):
         out = out * law.formal_sum(xj, law.formal_inverse(s))
     return ring.reduce(out)
 

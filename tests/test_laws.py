@@ -1,5 +1,6 @@
 import random
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,23 @@ def test_honda_validation():
         honda_law(Z2_4, 1, 8)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_honda_rejects_height_below_one(n):
+    # p^n <= 1 for n < 1, so the logarithm's degree loop would never end:
+    # the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"honda_law(F2, {n}, 6) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(SpecMismatch, match="height n >= 1"):
+            honda_law(F2, n, 6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_lubin_tate_axioms():
     law = lubin_tate_height2_law(LT2_SPEC, 10)
     assert law.check_axioms() == {"unit": True, "commutative": True, "associative": True}
@@ -231,4 +249,4 @@ def test_non_integral_log_raises_integrality_failure():
     # the exact coefficient and its own denominator, not a scale shared by a row
     text = "bad: the x^1 y^1 coefficient keeps the denominator 2^1 (p=2, N=4, D=1, T=6)"
     with pytest.raises(IntegralityFailure, match=f"^{re.escape(text)}$"):
-        _law_from_log(spec, 6, {1: ([1], 0), 2: ([1], 2)}, 1, 1, "bad")
+        _law_from_log(spec, 6, {1: ([1], 0), 2: ([1], 2)}, 1, "bad")

@@ -111,6 +111,26 @@ def test_mul_against_oracle_and_sympy(ring, data):
     assert {e: c.terms for e, c in got.terms.items()} == expected
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rings(), st.data())
+def test_rename_matches_substitution_of_variables(ring, data):
+    # the slow path: subst with each variable's image a variable of the target ring
+    spec, nvars, cap = ring
+    f = raw_series(spec, nvars, cap, data.draw(raw_terms(spec, nvars)))
+    # an equal or larger target tuple, and an injective map into it: swaps
+    # included, and a variable that keeps its name may be left out of the map
+    variables = tuple(data.draw(st.lists(st.sampled_from(NAMES + ("s", "t")),
+                                         min_size=nvars, max_size=5, unique=True)))
+    targets = data.draw(st.permutations(variables))[:nvars]
+    names = {v: t for v, t in zip(f.variables, targets) if v != t}
+    new_cap = data.draw(st.none() | st.integers(1, 7))
+    images = {v: TruncSeries.variable(spec, variables, new_cap, names.get(v, v))
+              for v in f.variables}
+    got = f.rename(variables, new_cap, names)
+    assert got == f.subst(images)
+    assert all(new_cap is None or sum(e) < new_cap for e in got.terms)
+
+
 @pytest.mark.parametrize("spec", SPECS[1:], ids=["p2N5", "p3N3D3", "p2N8D6"])
 @pytest.mark.parametrize("nvars, cap", [(1, 24), (2, 9), (3, 6), (2, None)])
 def test_mul_slot_width_worst_case(spec, nvars, cap):

@@ -82,15 +82,17 @@ def _positive(job: dict, key: str, default):
 def _spec(job: dict) -> CoeffRingSpec:
     """The coefficient ring of the job's law; lubinTate2 defaults to N = 8, D = 6."""
     name = job["law"]
+    if name not in LAWS:
+        raise ValueError(f"unknown law {name!r} (choose from {', '.join(LAWS)})")
+    if name != "honda" and job.get("height") is not None:  # it would move only the default cap
+        raise ValueError(f"--height applies only to the honda law, not to {name}")
     p = int(job["p"])
     if name in ("multiplicative", "additive"):
         return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", None))
     if name == "honda":
         return CoeffRingSpec(p=p, p_precision=1)
-    if name == "lubinTate2":
-        return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", 8), deformation_params=1,
-                             u_degree_cap=_positive(job, "udeg", 6))
-    raise ValueError(f"unknown law {name!r} (choose from {', '.join(LAWS)})")
+    return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", 8), deformation_params=1,
+                         u_degree_cap=_positive(job, "udeg", 6))  # lubinTate2
 
 
 def _build_law(job: dict) -> FormalGroupLaw:

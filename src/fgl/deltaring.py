@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
@@ -138,21 +139,24 @@ def _divide_terms_by_p(a: TruncSeries) -> TruncSeries:
 def parse_delta_ring(text: str, default_p: int | None = None) -> DeltaRing:
     """Parse e.g. "Z[t]; psi t -> t^2; p 2" or "Z; psi id" with default_p.
 
-    The polynomial expressions allow integers, generators, + - * and ^.
+    The head is ``Z`` or ``Z[g1, ..., gk]`` with distinct identifiers as
+    generators. The polynomial expressions allow integers, generators, + - * and ^.
     """
-    parts = [part.strip() for part in text.split(";") if part.strip()]
-    if not parts or not parts[0].startswith("Z"):
-        raise ValueError("ring description must start with Z or Z[gens]")
+    parts = [part.strip() for part in text.split(";") if part.strip()] or [""]
     head = parts[0]
-    if "[" in head:
-        inner = head[head.index("[") + 1: head.rindex("]")]
-        generators = tuple(g.strip() for g in inner.split(",") if g.strip())
-    else:
-        generators = ()
+    match = re.fullmatch(r"Z(?:\s*\[(.*)\])?", head)
+    inner = match[1] if match else None
+    generators = () if inner is None else tuple(g.strip() for g in inner.split(","))
+    if not match or not all(map(str.isidentifier, generators)) or \
+            len(set(generators)) < len(generators):
+        raise ValueError(f"clause {head!r}: expected 'Z' or 'Z[g1, ..., gk]' with distinct "
+                         "generator names")
     p = default_p
     clauses: dict[str, tuple[str, str]] = {}  # generator -> (its psi clause, the image)
     for part in parts[1:]:
         if part.startswith("p "):
+            if not re.fullmatch(r"p\s+[+-]?\d+", part):
+                raise ValueError(f"clause {part!r}: {part[2:].strip()!r} is not an integer")
             p = int(part[2:])
         elif part.startswith("psi"):
             body = part[3:].strip()

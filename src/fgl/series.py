@@ -8,23 +8,28 @@ identities computed here are exact images of identities over the untruncated
 ring. ``cap=None`` disables degree truncation and is used where elements are
 honest polynomials (finite algebras, delta-rings).
 
-The product packs each coefficient's u-polynomial into one int, u^i in bits
-[i*w, (i+1)*w) (the order of ``CoeffElem.terms``), walks the right operand
-by total degree so the cap ends the walk, and adds each in-cap pair's product
-into one int per output monomial, unpacked and reduced once (slots at u^D and
-up dropped). Over Z/p^N[u]/(u^D) a slot sums at most D*min(|A|, |B|) products
-of coefficients below p^N, so w = 2*bitlen(p^N - 1) + bitlen(D*min(|A|, |B|))
-keeps it below 2^w: no slot carries. Without u a coefficient is its integer.
+The one product kernel sums A*B over pairs of term dicts (a product is one
+pair). It packs each coefficient's u-polynomial into one int, u^i in bits
+[i*w, (i+1)*w) (the order of ``CoeffElem.terms``), walks each right operand by
+total degree so the cap ends the walk, and adds every in-cap product into one
+int per output monomial, unpacked and reduced once (slots at u^D and up
+dropped). Over Z/p^N[u]/(u^D) a slot sums at most D*S products of coefficients
+below p^N, S the sum over the pairs of min(|A|, |B|), so w = 2*bitlen(p^N - 1)
++ bitlen(D*S) keeps it below 2^w: no slot carries. Without u a coefficient is
+its integer. ``subst`` groups the terms by their exponent i of the variable o
+with the most image terms (Paterson and Stockmeyer's baby and giant steps) into
+one sum of R_i * o^i, R_i = sum of c * (other images' cached powers) in group i.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 from math import inf
 from operator import add, itemgetter, lshift, mul
 
 from .coeffring import CoeffElem, CoeffRingSpec, _canonical
-from .errors import SpecMismatch
+from .errors import NonNilpotentArgument, SpecMismatch
 
 Expo = tuple[int, ...]
 
@@ -150,30 +155,7 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._compat(other)
-        spec = self.spec
-        if spec.width == 1:  # one slot: the coefficient is its integer, sign included
-            shifts, mask = (0,), -1
-        else:
-            w = 2 * (spec.modulus - 1).bit_length() + \
-                (spec.width * min(len(self.terms), len(other.terms))).bit_length()
-            shifts, mask = range(0, w * spec.width, w), (1 << w) - 1
-        right = sorted([(sum(e), e, sum(map(lshift, c.terms, shifts)))
-                        for e, c in other.terms.items()], key=itemgetter(0))
-        limit = inf if self.cap is None else self.cap
-        acc: dict[Expo, int] = {}
-        for e1, c1 in self.terms.items():
-            c1, room = sum(map(lshift, c1.terms, shifts)), limit - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 >= room:
-                    break
-                key = tuple(map(add, e1, e2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        terms = {}
-        for key, v in acc.items():
-            t = _canonical(spec, [v >> s & mask for s in shifts])
-            if t:
-                terms[key] = CoeffElem(spec, t, _clean=True)
-        return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
+        return _sum_of_products([(self.terms, other.terms)], self.spec, self.variables, self.cap)
 
     def scale(self, value: CoeffElem) -> "TruncSeries":
         terms = {}
@@ -198,22 +180,26 @@ class TruncSeries:
         if missing:
             raise SpecMismatch(f"no image for variables {missing}")
         model = images[self.variables[0]]
-        one = TruncSeries.one(model.spec, model.variables, model.cap)
-        pow_cache: dict[tuple[str, int], TruncSeries] = {(name, 0): one for name in self.variables}
-
-        def power(name: str, k: int) -> TruncSeries:
-            got = pow_cache.get((name, k))
-            if got is None:
-                got = pow_cache[(name, k)] = power(name, k - 1) * images[name]
-            return got
-
-        # each term's coefficients go straight into one dict: no copy per term
-        acc: dict[Expo, CoeffElem] = {}
-        for expo, c in sorted(self.terms.items()):
-            factors = [power(name, k) for name, k in zip(self.variables, expo) if k]
-            for e, v in (reduce(mul, factors) if factors else one).scale(c).terms.items():
-                acc[e] = acc[e] + v if e in acc else v
-        return TruncSeries(model.spec, model.variables, model.cap, acc)  # drops the zeros
+        spec, variables, cap = self.spec, model.variables, model.cap
+        one, zero = TruncSeries.one(spec, variables, cap), (0,) * len(variables)
+        powers = []  # powers[j][k]: the k-th power of the j-th image, k up to its top exponent
+        for j, name in enumerate(self.variables):
+            one._compat(images[name])
+            top = max(map(itemgetter(j), self.terms), default=0)
+            if cap is not None and top and zero in images[name].terms:
+                raise NonNilpotentArgument(
+                    f"image of {name} has a nonzero constant term ({spec.precision_label(cap)})")
+            powers.append([one, *accumulate([images[name]] * top, mul)])
+        o = max(range(len(powers)), key=lambda j: len(images[self.variables[j]].terms))
+        others = [(j, powers[j]) for j in range(len(powers)) if j != o]
+        groups: dict[int, list] = {}
+        for expo, c in self.terms.items():
+            rest = [power[expo[j]] for j, power in others if expo[j]]
+            groups.setdefault(expo[o], []).append(({zero: c}, reduce(mul, rest or [one]).terms))
+        return _sum_of_products(  # a one-term group with no other factor is its own R_i
+            [(g[0][0] if len(g) == 1 and g[0][1] is one.terms else
+              _sum_of_products(g, spec, variables, cap).terms, powers[o][i].terms)
+             for i, g in groups.items()], spec, variables, cap)
 
     def rename(self, variables: tuple[str, ...], cap: int | None,
                names: dict[str, str] | None = None) -> "TruncSeries":
@@ -271,3 +257,34 @@ class TruncSeries:
                 {"exps": list(expo), "coeff": c.to_json()} for expo, c in self.sorted_terms()
             ],
         }
+
+
+def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
+    """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
+    if spec.width == 1:  # one slot: the coefficient is its integer, sign included
+        pack, unpack = itemgetter(0), lambda v: (v,)
+    else:
+        w = 2 * (spec.modulus - 1).bit_length() + \
+            (spec.width * sum(min(len(a), len(b)) for a, b in pairs)).bit_length()
+        shifts, mask = range(0, w * spec.width, w), (1 << w) - 1
+        pack, unpack = (lambda t: sum(map(lshift, t, shifts))), \
+            (lambda v: [v >> s & mask for s in shifts])
+    limit = inf if cap is None else cap
+    acc: dict[Expo, int] = {}
+    for left, right in pairs:
+        right = [(sum(e), e, pack(c.terms)) for e, c in right.items()]
+        if cap is not None:  # by degree, so that the cap ends the walk
+            right.sort(key=itemgetter(0))
+        for e1, c1 in left.items():
+            c1, room = pack(c1.terms), limit - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 >= room:
+                    break
+                key = tuple(map(add, e1, e2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+    terms = {}
+    for key, v in acc.items():
+        t = _canonical(spec, unpack(v))
+        if t:
+            terms[key] = CoeffElem(spec, t, _clean=True)
+    return TruncSeries(spec, variables, cap, terms, _clean=True)

@@ -1,14 +1,22 @@
-"""Reference truncated series product, for tests only.
+"""Reference truncated series product and substitution, for tests only.
 
 The pairwise product: every pair of terms whose total degree is below the
 cap is multiplied with ``CoeffElem.__mul__`` and added into the output with
 ``CoeffElem.__add__``. It shares no packing with ``TruncSeries.__mul__``,
 so the packed kernel there is checked against it term for term.
+
+The term-wise substitution: each source term multiplies the cached powers
+of its images, is scaled by its coefficient and added into one dict. Its
+products are the pairwise ones above, so it shares no packing with the
+grouped ``TruncSeries.subst`` either.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from fgl.coeffring import CoeffElem
+from fgl.errors import SpecMismatch
 from fgl.series import Expo, TruncSeries
 
 
@@ -32,3 +40,26 @@ def mul(self: TruncSeries, other: TruncSeries) -> TruncSeries:
             else:
                 acc[expo] = s
     return TruncSeries(self.spec, self.variables, self.cap, acc, _clean=True)
+
+
+def subst(self: TruncSeries, images: dict[str, TruncSeries]) -> TruncSeries:
+    missing = [v for v in self.variables if v not in images]
+    if missing:
+        raise SpecMismatch(f"no image for variables {missing}")
+    model = images[self.variables[0]]
+    one = TruncSeries.one(model.spec, model.variables, model.cap)
+    pow_cache: dict[tuple[str, int], TruncSeries] = {(name, 0): one for name in self.variables}
+
+    def power(name: str, k: int) -> TruncSeries:
+        got = pow_cache.get((name, k))
+        if got is None:
+            got = pow_cache[(name, k)] = mul(power(name, k - 1), images[name])
+        return got
+
+    # each term's coefficients go straight into one dict: no copy per term
+    acc: dict[Expo, CoeffElem] = {}
+    for expo, c in sorted(self.terms.items()):
+        factors = [power(name, k) for name, k in zip(self.variables, expo) if k]
+        for e, v in (reduce(mul, factors) if factors else one).scale(c).terms.items():
+            acc[e] = acc[e] + v if e in acc else v
+    return TruncSeries(model.spec, model.variables, model.cap, acc)  # drops the zeros

@@ -339,6 +339,13 @@ MALFORMED = [
     (["delta-check", "--ring", "Z[t]; psi t -> t^2; psi s -> 5; p 2"], "psi s -> 5"),
     (["delta-check", "--ring", "Z[t]; psi t -> t^2; psi t -> t^3 + t; p 2"],
      "psi t -> t^3 + t"),
+    (["delta-check", "--ring", "Zebra[t]; psi t -> t^2; p 2"], "Zebra[t]"),
+    (["delta-check", "--ring", "Z[t; psi t -> t^2; p 2"], "Z[t"),
+    (["delta-check", "--ring", "Z[t]; psi t -> t^2; p x"], "p x"),
+    (["groupring", "--law", "multiplicative", "--p", "3", "--type", "1", "--height", "3"],
+     "--height"),
+    (["check-axioms", "--law", "lubinTate2", "--p", "2", "--height", "2", "--trunc", "8"],
+     "--height"),
 ]
 
 
@@ -348,6 +355,22 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, argv, names):
     assert (code, out) == (1, "")
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith(f"fgl {argv[0]}: ") and names in err
+
+
+@pytest.mark.parametrize("law", ["multiplicative", "additive", "lubinTate2"])
+def test_height_is_refused_on_laws_that_ignore_it(capsys, law):
+    # it used to move only the default cap: multiplicative p=3 type 1 ran at T=31, not 16
+    ring = {"command": "groupring", "law": law, "p": 3, "type": "1"}
+    message = f"--height applies only to the honda law, not to {law}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _default_trunc({**ring, "height": 3})
+    job = {"command": "check-axioms", "law": law, "p": 3, "trunc": 10}
+    assert run_job(job)["outputs"]["passed"]
+    code, out, err = run_cli(capsys, "check-axioms", "--law", law, "--p", "3", "--trunc", "10",
+                             "--height", "2")
+    assert (code, out, err) == (1, "", f"fgl check-axioms: {message}\n")
+    honda = {"command": "check-axioms", "law": "honda", "p": 3, "height": 1, "trunc": 8}
+    assert run_job(honda)["outputs"]["passed"]
 
 
 def test_trunc_zero_still_means_the_default():

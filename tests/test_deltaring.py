@@ -100,6 +100,10 @@ def test_non_lift_pair_records_frobenius_lift_and_skips_the_dividing_rules():
     ("Z[t]; psi t -> t^2; psi t -> t^2 + 2; p 2", "psi t -> t^2 + 2",
      "a second psi clause for t"),
     ("Z[t]; phi t -> t^2; p 2", "phi t -> t^2", "expected 'p <prime>' or 'psi ...'"),
+    ("Z[t]; psi t -> t^2; p x", "p x", "'x' is not an integer"),
+    ("Z[t]; psi t -> t^2; p 2.0", "p 2.0", "'2.0' is not an integer"),
+    *[(head + "; p 2", head, "expected 'Z' or 'Z[g1, ..., gk]' with distinct generator names")
+      for head in ("Zebra[t]", "Z[t", "Z[t]]", "Z[]", "Z[t,]", "Z[t, t]", "Z[2t]", "Q[t]")],
 ])
 def test_malformed_psi_clause_is_a_value_error_naming_it(text, clause, reason):
     with pytest.raises(ValueError) as info:

@@ -1,6 +1,8 @@
 import itertools
 import json
 import pathlib
+from functools import reduce
+from operator import add
 
 import pytest
 import sympy
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import series_oracle
+from fgl import series
 from fgl.cli import run_job
 from fgl.coeffring import CoeffElem, CoeffRingSpec
+from fgl.errors import NonNilpotentArgument
 from fgl.grouprings import FiniteAlgebra
 from fgl.series import TruncSeries
 
@@ -92,11 +96,13 @@ def rings(draw):
             draw(st.none() | st.integers(1, 7)))
 
 
-def raw_terms(spec, nvars, max_size=6):
+def raw_terms(spec, nvars, max_size=6, min_size=0, top=4, constant=True):
     hi = spec.modulus or 10 ** 30
     coeff = st.lists(st.integers(-hi, hi), min_size=1,
                      max_size=spec.width + 1 if spec.deformation_params else 1)
-    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars), coeff, max_size=max_size)
+    expo = st.tuples(*[st.integers(0, top)] * nvars)
+    return st.dictionaries(expo if constant else expo.filter(any), coeff,
+                           min_size=min_size, max_size=max_size)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -145,6 +151,67 @@ def test_mul_slot_width_worst_case(spec, nvars, cap):
     assert g * f == series_oracle.mul(g, f)
 
 
+# -- the grouped substitution against the term-wise oracle -----------------------
+
+
+def image_terms(spec, nvars, cap, kind, max_size):
+    """A monomial, dense or zero image; under a cap it has no constant term."""
+    if kind == "zero":
+        return st.just({})
+    size = (1, 1) if kind == "monomial" else (2, max_size)
+    return raw_terms(spec, nvars, size[1], size[0], top=3, constant=cap is None)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(SPECS), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_subst_matches_termwise_oracle(spec, nsrc, ntgt, data):
+    cap, source_cap = (data.draw(st.none() | st.integers(lo, 8)) for lo in (3, 4))
+    heavy = data.draw(st.integers(0, nsrc - 1))  # the dense image with the most terms
+    images = {}
+    for j, v in enumerate(NAMES[:nsrc]):
+        kind = "dense" if j == heavy else data.draw(st.sampled_from(["monomial", "dense"] * 2 + ["zero"]))
+        raw = data.draw(image_terms(spec, ntgt, cap, kind, 8 if j == heavy else 3))
+        images[v] = raw_series(spec, ntgt, cap, raw)
+    f = raw_series(spec, nsrc, source_cap, data.draw(raw_terms(spec, nsrc, 8, 1, top=3)))
+    assert f.subst(images) == series_oracle.subst(f, images)
+
+
+TOP_SPECS = (CoeffRingSpec(p=2, p_precision=8, deformation_params=1, u_degree_cap=6),
+             CoeffRingSpec(p=3, p_precision=3, deformation_params=1, u_degree_cap=7))
+
+
+@pytest.mark.parametrize("spec", TOP_SPECS, ids=["p2N8D6", "p3N3D7"])
+def test_sum_of_products_slot_width_worst_case(spec):
+    # every coefficient p^N - 1 at every u-degree, and pairs that each add
+    # min(|A|, |B|) products into x^7: its slot u^(D-1) sums D*S products, the bound
+    top = [spec.modulus - 1] * spec.width
+    dense = raw_series(spec, 1, 8, {(j,): top for j in range(8)})
+    single = raw_series(spec, 1, 8, {(0,): top})
+    pairs = [(single, dense)] * 42 + [(dense, dense)] * 3
+    got = series._sum_of_products([(a.terms, b.terms) for a, b in pairs], spec, ("x",), 8)
+    assert got == reduce(add, (series_oracle.mul(a, b) for a, b in pairs))
+    # and a substitution with every source and image coefficient at the top
+    f = raw_series(spec, 2, 8, {e: top for e in itertools.product(range(8), repeat=2) if sum(e) < 8})
+    images = {v: raw_series(spec, 2, 8, {e: top for e in itertools.product(range(8), repeat=2)
+                                         if 0 < sum(e) < 8}) for v in NAMES[:2]}
+    assert f.subst(images) == series_oracle.subst(f, images)
+
+
+def test_subst_refuses_a_constant_term_under_a_cap():
+    spec = SPECS[1]
+    f = raw_series(spec, 2, 6, {(0, 0): [3], (2, 0): [1]})  # y only to the power 0
+    x, one_plus_x = (raw_series(spec, 1, 6, r) for r in ({(1,): [1]}, {(0,): [1], (1,): [1]}))
+    with pytest.raises(NonNilpotentArgument, match="image of x has a nonzero constant term"):
+        f.subst({"x": one_plus_x, "y": x})
+    # an image raised only to the power 0 may have one
+    images = {"x": x, "y": one_plus_x}
+    assert f.subst(images) == series_oracle.subst(f, images)
+    # without a cap the images are polynomials and any constant term is fine
+    g, polynomial = f.rename(f.variables, None), one_plus_x.rename(("x",), None)
+    images = {"x": polynomial, "y": polynomial}
+    assert g.subst(images) == series_oracle.subst(g, images)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(rings(), st.data())
 def test_series_ring_axioms(ring, data):
@@ -189,16 +256,22 @@ CROSS_CHECKED = [
 
 @pytest.mark.parametrize("job", CROSS_CHECKED, ids=lambda job: job["command"])
 def test_suite_job_products_match_oracle(job, monkeypatch):
+    # the hook sits on the packed kernel that both __mul__ and subst sum into
     assert job in json.loads((SUITE / "default.json").read_text())
-    kernel, products = TruncSeries.__mul__, []
+    kernel, products, sums = series._sum_of_products, [], []
 
-    def checked(a, b):
-        got = kernel(a, b)
-        assert got == series_oracle.mul(a, b)
-        products.append(got)
+    def checked(pairs, spec, variables, cap):
+        got = kernel(pairs, spec, variables, cap)
+        expected = TruncSeries.zero(spec, variables, cap)
+        for a, b in pairs:
+            expected = expected + series_oracle.mul(
+                TruncSeries(spec, variables, cap, a), TruncSeries(spec, variables, cap, b))
+        assert got == expected
+        products.extend(pairs)
+        sums.append(got)
         return got
 
-    monkeypatch.setattr(TruncSeries, "__mul__", checked)
+    monkeypatch.setattr(series, "_sum_of_products", checked)
     record = run_job(dict(job))
-    assert len(products) > 100 and any(not f.is_zero() for f in products)
+    assert len(products) > 100 and any(not f.is_zero() for f in sums)
     assert record["digest"] in json.loads((SUITE / "baseline.json").read_text())

@@ -174,7 +174,7 @@ class TruncSeries:
         live in one common series ring, and any image substituted into a
         positive power must have zero constant term whenever a degree cap
         is in force (otherwise truncation would not commute with
-        substitution).
+        substitution; NonNilpotentArgument).
         """
         missing = [v for v in self.variables if v not in images]
         if missing:

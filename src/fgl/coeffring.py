@@ -123,13 +123,6 @@ class CoeffElem:
         return cls(spec, (value,))
 
     @classmethod
-    def u_var(cls, spec: CoeffRingSpec) -> "CoeffElem":
-        """The deformation parameter u."""
-        if not spec.deformation_params:
-            raise SpecMismatch("the ring has no deformation parameter u")
-        return cls(spec, (0, 1))
-
-    @classmethod
     def zero(cls, spec: CoeffRingSpec) -> "CoeffElem":
         return cls(spec, (), _clean=True)
 
@@ -226,15 +219,12 @@ class CoeffElem:
                 raise NotDivisible(f"coefficient {c} is not divisible by {spec.p}")
         return CoeffElem(spec, tuple(c // spec.p for c in self.terms), _clean=True)
 
-    # -- comparisons / hashing / display --------------------------------
+    # -- comparisons / display --------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffElem):
             return NotImplemented
         return self.terms == other.terms and (self.spec is other.spec or self.spec == other.spec)
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.terms))
 
     def __repr__(self) -> str:
         bits = [str(c) if i == 0 else f"{c}*u1" if i == 1 else f"{c}*u1^{i}"

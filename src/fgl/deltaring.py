@@ -19,12 +19,13 @@ module exists to exhibit.
 from __future__ import annotations
 
 import ast
+import keyword
 import random
 import re
 from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
-from .errors import NotAFrobeniusLift, TruncationTooSmall
+from .errors import NotAFrobeniusLift
 from .series import TruncSeries
 
 # a random sample element: 1 to 4 terms, exponents to 3, coefficients in [-9, 9]
@@ -139,25 +140,28 @@ def _divide_terms_by_p(a: TruncSeries) -> TruncSeries:
 def parse_delta_ring(text: str, default_p: int | None = None) -> DeltaRing:
     """Parse e.g. "Z[t]; psi t -> t^2; p 2" or "Z; psi id" with default_p.
 
-    The head is ``Z`` or ``Z[g1, ..., gk]`` with distinct identifiers as
-    generators. The polynomial expressions allow integers, generators, + - * and ^.
+    The head is ``Z`` or ``Z[g1, ..., gk]`` with distinct identifiers, none a
+    Python keyword, as generators, and at most one ``p`` clause may follow.
+    The polynomial expressions allow integers, generators, + - * and ^.
     """
     parts = [part.strip() for part in text.split(";") if part.strip()] or [""]
     head = parts[0]
     match = re.fullmatch(r"Z(?:\s*\[(.*)\])?", head)
     inner = match[1] if match else None
     generators = () if inner is None else tuple(g.strip() for g in inner.split(","))
-    if not match or not all(map(str.isidentifier, generators)) or \
-            len(set(generators)) < len(generators):
+    if not match or not all(g.isidentifier() and not keyword.iskeyword(g) for g in generators) \
+            or len(set(generators)) < len(generators):
         raise ValueError(f"clause {head!r}: expected 'Z' or 'Z[g1, ..., gk]' with distinct "
                          "generator names")
-    p = default_p
+    p, p_clause = default_p, None
     clauses: dict[str, tuple[str, str]] = {}  # generator -> (its psi clause, the image)
     for part in parts[1:]:
         if part.startswith("p "):
+            if p_clause:
+                raise ValueError(f"clause {part!r}: a second p clause after {p_clause!r}")
             if not re.fullmatch(r"p\s+[+-]?\d+", part):
                 raise ValueError(f"clause {part!r}: {part[2:].strip()!r} is not an integer")
-            p = int(part[2:])
+            p, p_clause = int(part[2:]), part
         elif part.startswith("psi"):
             body = part[3:].strip()
             if body == "id" or not body:
@@ -232,7 +236,6 @@ class SheafValue:
     ring: DeltaRing
     base: object  # FiniteAlgebra or CoeffRingSpec
     frobenius_power: int
-    degree_bound: int | None
     generator_images: dict[str, TruncSeries]
 
     def apply_to_generator(self, g: str) -> TruncSeries:
@@ -245,24 +248,16 @@ class SheafValue:
         return SheafValue(
             ring=self.ring, base=self.base,
             frobenius_power=self.frobenius_power + other.frobenius_power,
-            degree_bound=self.degree_bound, generator_images=images,
+            generator_images=images,
         )
 
 
-def sheaf_eval(ring: DeltaRing, base, r: int, degree_bound: int | None = None) -> SheafValue:
+def sheaf_eval(ring: DeltaRing, base, r: int) -> SheafValue:
     """Evaluate the deformation sheaf of ``ring`` on (base, Frob^r)."""
     if r < 0:
         raise ValueError("Frobenius power must be >= 0")
-    images = {}
-    for g in ring.generators:
-        img = ring.psi_power(ring.var(g), r)
-        if degree_bound is not None and img.degree() > degree_bound:
-            raise TruncationTooSmall(
-                f"psi^{r}({g}) has degree {img.degree()} > bound {degree_bound}"
-            )
-        images[g] = img
-    return SheafValue(ring=ring, base=base, frobenius_power=r,
-                      degree_bound=degree_bound, generator_images=images)
+    images = {g: ring.psi_power(ring.var(g), r) for g in ring.generators}
+    return SheafValue(ring=ring, base=base, frobenius_power=r, generator_images=images)
 
 
 def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,

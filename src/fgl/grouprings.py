@@ -41,16 +41,29 @@ which substitutes the tail (the non-lead terms, negated) for x_j^(d_j), is
 one sweep per variable, from the highest variable down and, in each, from
 the top degree down: no rewrite brings back a later variable or a degree
 already swept.
+
+The sweep keeps one raw int per monomial, packed as in the series kernel
+(``series._packing``); the tails are stored once that way, negated and
+canonical. A term is canonicalized when popped (with u: unpacked, reduced
+mod p^N, cut at u^D and repacked) and, if it survives, once at the end.
+No slot carries. In the sweep of x_j a monomial gets at most |tail_j|
+products: the popped exponent is fixed by the monomial and the tail term,
+and a popped degree never comes back in its own sweep. So a slot holds a
+canonical coefficient plus at most S = sum_j |tail_j| products of two
+canonical u-polynomials (each at most D (p^N - 1)^2 there), below 2^w for
+w = 2 bitlen(p^N - 1) + bitlen(D (1 + S)).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, ge
 
-from .coeffring import CoeffElem, CoeffRingSpec
+from .coeffring import CoeffElem, CoeffRingSpec, _canonical
 from .errors import (
     InternalInconsistency,
+    ModeError,
     NonConvergence,
     NonExactDivision,
     NotAUnit,
@@ -59,7 +72,7 @@ from .errors import (
     UnsupportedGroupType,
 )
 from .laws import FormalGroupLaw
-from .series import TruncSeries
+from .series import TruncSeries, _packing
 from .weierstrass import divide as w_divide
 from .weierstrass import prepare as w_prepare
 
@@ -116,10 +129,13 @@ class FiniteAlgebra:
         self.relations = list(relations)
         self.lead_degrees = tuple(lead_degrees)
         self.label = label
+        # one raw int per coefficient; the module docstring bounds a slot
+        self._pack, self._unpack, self._canon = _packing(
+            spec, spec.width * (1 + sum(len(rel.terms) - 1 for rel in self.relations)))
         self._tails = []
         for j, (rel, d) in enumerate(zip(self.relations, self.lead_degrees)):
             lead = tuple(d if i == j else 0 for i in range(len(self.variables)))
-            tail = [(expo, -c) for expo, c in rel.terms.items() if expo != lead]
+            tail = [(e, self._pack((-c).terms)) for e, c in rel.terms.items() if e != lead]
             if (rel.coefficient(lead) != CoeffElem.one(spec)
                     or any(any(expo[j + 1:]) or expo[j] >= d for expo, _ in tail)):
                 raise InternalInconsistency(
@@ -170,57 +186,62 @@ class FiniteAlgebra:
         """The unique representative supported on the monomial basis.
 
         A capped series is read as the polynomial of its terms; the result
-        is cap-free.
+        is cap-free. Only the terms at or above a lead degree are swept.
         """
         if f.variables != self.variables:
             f = f.rename(self.variables, None)
+        spec, pack, unpack, leads = self.spec, self._pack, self._unpack, self.lead_degrees
         terms = dict(f.terms)
+        raw = {e: pack(terms.pop(e).terms) for e in f.terms if any(map(ge, e, leads))}
+        for expo, v in self._sweep(raw).items():
+            if expo in terms:
+                v += pack(terms.pop(expo).terms)
+            t = _canonical(spec, unpack(v))
+            if t:
+                terms[expo] = CoeffElem(spec, t, _clean=True)
+        return TruncSeries(spec, self.variables, None, terms, _clean=True)
+
+    def _sweep(self, terms: dict) -> dict:
+        """The reduction sweep of the module docstring on raw ints, in place:
+        c x^e with e_j = k >= d_j becomes c x^(e - d_j e_j) tail_j."""
+        canon = self._canon
         for j in range(len(self.variables) - 1, -1, -1):
-            self._reduce_in_var(terms, j)
-        return TruncSeries(self.spec, self.variables, None, terms, _clean=True)
-
-    def _reduce_in_var(self, terms: dict, j: int) -> None:
-        """Rewrite c x^e, e_j = k >= d, as c x^(e - d e_j) tail_j, k from the top down.
-
-        The tail lies below x_j^d, so each rewrite lands below its own degree k."""
-        d, tail = self.lead_degrees[j], self._tails[j]
-        for k in range(max((expo[j] for expo in terms), default=0), d - 1, -1):
-            for expo in [e for e in terms if e[j] == k]:
-                c = terms.pop(expo)
-                shift = expo[:j] + (k - d,) + expo[j + 1:]
-                for texpo, tc in tail:
-                    key = tuple(a + b for a, b in zip(shift, texpo))
-                    s = tc * c if key not in terms else terms[key] + tc * c
-                    if s.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
+            d, tail = self.lead_degrees[j], self._tails[j]
+            for k in range(max((expo[j] for expo in terms), default=0), d - 1, -1):
+                for expo in [e for e in terms if e[j] == k]:
+                    c = canon(terms.pop(expo))
+                    if c:
+                        shift = expo[:j] + (k - d,) + expo[j + 1:]
+                        for texpo, tc in tail:
+                            key = tuple(map(add, shift, texpo))
+                            terms[key] = terms.get(key, 0) + c * tc
+        return terms
 
     def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return self.reduce(a * b)
 
-    def multiplication_columns(self, f: TruncSeries) -> list[list[CoeffElem]]:
-        """Coordinates of f * b for each basis monomial b, in ``basis()`` order.
+    def integer_coordinates(self, f: TruncSeries) -> list[int]:
+        """The coordinates of f on ``basis()``, one int each; rings without u only."""
+        if self.spec.width != 1:
+            raise ModeError("integer coordinates need coefficients without u "
+                            f"({self.spec.precision_label(None)})")
+        f = f.rename(self.variables, None)
+        red = self._sweep({expo: c.terms[0] for expo, c in f.terms.items()})
+        return [self._canon(red.get(b, 0)) for b in self.basis()]
 
-        The companion-matrix walk: in graded order, f * x^a is x_j times the
-        already reduced f * x^(a - e_j), j the first index with a_j > 0, so
-        each column costs one shift and one short reduction. The relations
-        are triangular, so the reduction stays a short one for several
-        variables too.
-        """
-        basis = self.basis()
-        products = {basis[0]: self.reduce(f)}
+    def integer_matrix(self, f: TruncSeries) -> list[list[int]]:
+        """Multiplication by f on ``basis()``, column a the coordinates of f x^a;
+        rings without u only. The companion-matrix walk: in graded order f x^a
+        is x_j times the reduced f x^(a - e_j), j the first index with a_j > 0,
+        so each column is one shift and one short sweep of the raw ints."""
+        basis, canon = self.basis(), self._canon
+        columns = {basis[0]: dict(zip(basis, self.integer_coordinates(f)))}
         for a in basis[1:]:
             j = next(i for i, e in enumerate(a) if e)
-            prev = products[a[:j] + (a[j] - 1,) + a[j + 1:]]
-            shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in prev.terms.items()}
-            products[a] = self.reduce(
-                TruncSeries(self.spec, self.variables, None, shifted, _clean=True))
-        return [[products[a].coefficient(b) for b in basis] for a in basis]
-
-    def coordinates(self, f: TruncSeries) -> list[CoeffElem]:
-        red = self.reduce(f)
-        return [red.coefficient(e) for e in self.basis()]
+            prev = columns[a[:j] + (a[j] - 1,) + a[j + 1:]]
+            col = self._sweep({e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in prev.items() if c})
+            columns[a] = {e: canon(v) for e, v in col.items()}
+        return [[columns[a].get(b, 0) for a in basis] for b in basis]
 
     def invert_element(self, f: TruncSeries) -> TruncSeries:
         """Inverse of a unit: scalar part inverted, nilpotent part geometric."""

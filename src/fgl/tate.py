@@ -31,8 +31,10 @@ elimination modulo a word-size prime.
 
 This is only honest over exact (integer) coefficients: inverting a
 p-adically small element at finite p-precision is ill-posed, so truncated
-rings are refused. Every multiplication matrix is read off
-``FiniteAlgebra.multiplication_columns`` in one place.
+rings are refused. Every multiplication matrix is the companion-matrix walk
+``FiniteAlgebra.integer_matrix``, and the level relations' coordinates come
+from ``FiniteAlgebra.integer_coordinates``: both sweep the same raw integers
+as ``FiniteAlgebra.reduce``.
 """
 
 from __future__ import annotations
@@ -82,14 +84,6 @@ def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
     return EulerClassData(ambient=ambient, factors=factors, product=product)
 
 
-def _integer_matrix(alg: FiniteAlgebra, f: TruncSeries) -> Matrix:
-    """The integer matrix of multiplication by f on the monomial basis."""
-    if not alg.spec.exact:
-        raise ModeError("rational localization needs exact integer coefficients")
-    cols = alg.multiplication_columns(f)
-    return [[col[i].constant_part() for col in cols] for i in range(alg.rank)]
-
-
 @dataclass
 class LocalizedRing:
     """ambient tensor Q localized at e, modeled as the image of P = e^k.
@@ -107,7 +101,7 @@ class LocalizedRing:
 
     def multiplication_matrix(self, elem: TruncSeries) -> Matrix:
         """``elem`` times B; its rank is the rank of ``elem`` on the quotient."""
-        return mat_mul(_integer_matrix(self.ambient, elem), self.basis)
+        return mat_mul(self.ambient.integer_matrix(elem), self.basis)
 
 
 def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
@@ -118,8 +112,10 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     The chain compares exact nullities from ``nullspace``. At the stable step
     ker P = ker e^(k+1), so both have the same free columns: the last nonzero
     entry of each kernel vector. The other q columns of P are B."""
+    if not alg.spec.exact:
+        raise ModeError("rational localization needs exact integer coefficients")
     n = alg.rank
-    M = _integer_matrix(alg, e)
+    M = alg.integer_matrix(e)
     image, dim, iterations = M, len(nullspace(M)), 1
     while True:
         power = mat_mul(image, M)
@@ -170,8 +166,7 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     level = level_ring(law, gtype)
 
     # x -> x is well defined when P kills every level relation
-    relations = [[c.constant_part() for c in ambient.coordinates(rel)]
-                 for rel in level.relations]
+    relations = [ambient.integer_coordinates(rel) for rel in level.relations]
     if any(map(any, mat_mul(loc.image, list(zip(*relations))))):
         raise RelationNotKilled("level relation does not vanish in the localization")
 
@@ -206,10 +201,7 @@ def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> Fac
     on ambient/(eventual kernel) every factor's multiplication matrix M_f B
     must have full rank q.
     """
-    results = []
-    for factor in euler.factors:
-        m = loc.multiplication_matrix(factor)
-        results.append(rank(m) == loc.quotient_rank)
+    results = [rank(loc.multiplication_matrix(f)) == loc.quotient_rank for f in euler.factors]
     return FactorReport(factors_checked=len(euler.factors), invertible=results)
 
 

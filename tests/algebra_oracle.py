@@ -1,15 +1,22 @@
-"""Reference reduction in a finite algebra, for tests only.
+"""Reference reduction and multiplication columns in a finite algebra, for tests only.
 
 The rescanning loop: in each variable, from the highest down, it picks a
 term of highest degree at or above the lead degree, subtracts the matching
 multiple of the whole relation, and scans every term again. It relies on
-nothing but the monic lead term, so the one top-down sweep of
+nothing but the monic lead term, and it multiplies and adds ``CoeffElem``
+values, so the one top-down sweep of raw integers in
 ``FiniteAlgebra.reduce``, which relies on the triangular shape its
 constructor checks, is compared against it.
+
+The ``CoeffElem`` companion-matrix walk: each column f x^a is x_j times the
+reduced column f x^(a - e_j), passed through ``FiniteAlgebra.reduce``. The
+integer walk ``FiniteAlgebra.integer_matrix``, which sweeps raw integers, is
+compared against it.
 """
 
 from __future__ import annotations
 
+from fgl.coeffring import CoeffElem
 from fgl.series import TruncSeries
 
 
@@ -48,3 +55,22 @@ def _reduce_in_var(self, terms: dict, j: int) -> dict:
                 terms.pop(key, None)
             else:
                 terms[key] = s
+
+
+def coordinates(self, f: TruncSeries) -> list[CoeffElem]:
+    """The coefficients of ``self.reduce(f)`` on ``self.basis()``."""
+    red = self.reduce(f)
+    return [red.coefficient(e) for e in self.basis()]
+
+
+def multiplication_columns(self, f: TruncSeries) -> list[list[CoeffElem]]:
+    """Coordinates of f * b for each basis monomial b, in ``basis()`` order."""
+    basis = self.basis()
+    products = {basis[0]: self.reduce(f)}
+    for a in basis[1:]:
+        j = next(i for i, e in enumerate(a) if e)
+        prev = products[a[:j] + (a[j] - 1,) + a[j + 1:]]
+        shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in prev.terms.items()}
+        products[a] = self.reduce(
+            TruncSeries(self.spec, self.variables, None, shifted, _clean=True))
+    return [[products[a].coefficient(b) for b in basis] for a in basis]

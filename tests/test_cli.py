@@ -342,6 +342,8 @@ MALFORMED = [
     (["delta-check", "--ring", "Zebra[t]; psi t -> t^2; p 2"], "Zebra[t]"),
     (["delta-check", "--ring", "Z[t; psi t -> t^2; p 2"], "Z[t"),
     (["delta-check", "--ring", "Z[t]; psi t -> t^2; p x"], "p x"),
+    (["delta-check", "--ring", "Z[t]; psi t -> t^2; p 2; p 3"], "'p 3'"),
+    (["delta-check", "--ring", "Z[if]; psi if -> if^2; p 2"], "Z[if]"),
     (["groupring", "--law", "multiplicative", "--p", "3", "--type", "1", "--height", "3"],
      "--height"),
     (["check-axioms", "--law", "lubinTate2", "--p", "2", "--height", "2", "--trunc", "8"],

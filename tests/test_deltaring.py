@@ -12,7 +12,7 @@ from fgl.deltaring import (
     parse_delta_ring,
     sheaf_eval,
 )
-from fgl.errors import NotAFrobeniusLift, TruncationTooSmall
+from fgl.errors import NotAFrobeniusLift
 from fgl.series import TruncSeries
 
 F2 = CoeffRingSpec(p=2, p_precision=1)
@@ -102,8 +102,10 @@ def test_non_lift_pair_records_frobenius_lift_and_skips_the_dividing_rules():
     ("Z[t]; phi t -> t^2; p 2", "phi t -> t^2", "expected 'p <prime>' or 'psi ...'"),
     ("Z[t]; psi t -> t^2; p x", "p x", "'x' is not an integer"),
     ("Z[t]; psi t -> t^2; p 2.0", "p 2.0", "'2.0' is not an integer"),
+    ("Z[t]; psi t -> t^2; p 2; p 3", "p 3", "a second p clause after 'p 2'"),
     *[(head + "; p 2", head, "expected 'Z' or 'Z[g1, ..., gk]' with distinct generator names")
-      for head in ("Zebra[t]", "Z[t", "Z[t]]", "Z[]", "Z[t,]", "Z[t, t]", "Z[2t]", "Q[t]")],
+      for head in ("Zebra[t]", "Z[t", "Z[t]]", "Z[]", "Z[t,]", "Z[t, t]", "Z[2t]", "Q[t]",
+                   "Z[if]", "Z[t, lambda]")],
 ])
 def test_malformed_psi_clause_is_a_value_error_naming_it(text, clause, reason):
     with pytest.raises(ValueError) as info:
@@ -132,13 +134,6 @@ def test_sheaf_eval_r2_squares_twice():
     sv = sheaf_eval(ring, CoeffRingSpec(p=2, p_precision=4), 2)
     t = ring.var("t")
     assert sv.apply_to_generator("t") == t * t * t * t  # t^(p^2)
-
-
-def test_sheaf_eval_degree_bound():
-    ring = make_zt(2)
-    with pytest.raises(TruncationTooSmall):
-        sheaf_eval(ring, F2, 3, degree_bound=7)  # t^8 exceeds 7
-    sheaf_eval(ring, F2, 3, degree_bound=8)
 
 
 def test_sheaf_composition_law_random_pairs():

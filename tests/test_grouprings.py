@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import algebra_oracle
@@ -12,6 +12,7 @@ import algebra_oracle
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import (
     InternalInconsistency,
+    ModeError,
     NonConvergence,
     NonExactDivision,
     RelationNotKilled,
@@ -29,12 +30,13 @@ from fgl.grouprings import (
     quotient_to_level,
     restriction_map,
 )
-from fgl.laws import lubin_tate_height2_law, multiplicative_law
+from fgl.laws import honda_law, lubin_tate_height2_law, multiplicative_law
 from fgl.series import TruncSeries
 from fgl.weierstrass import divide
 
 ZX2 = CoeffRingSpec(p=2, p_precision=None)
 ZX3 = CoeffRingSpec(p=3, p_precision=None)
+Z16 = CoeffRingSpec(p=2, p_precision=4)
 # precision chosen so every triangular division is exact: the maximal ideal
 # has nilpotency degree N+D-1 = 4, so x1^12 = 0 in the stage-1 quotient and a
 # cap of 24 pushes all truncation tails to zero
@@ -100,7 +102,7 @@ def test_reduce_element_examples():
     alg = group_cohomology_ring(law, AbelianPType((1,)))  # Z[x]/(x^2 + 2x)
     x = alg.var(0)
     sq = alg.reduce(x * x)
-    assert alg.coordinates(sq) == [CoeffElem.from_int(ZX2, 0), CoeffElem.from_int(ZX2, -2)]
+    assert alg.integer_coordinates(sq) == [0, -2]
     assert alg.reduce(alg.relations[0]).is_zero()
     assert alg.reduce(alg.one()) == alg.one()
 
@@ -227,30 +229,44 @@ def random_element(alg, rng) -> TruncSeries:
     return TruncSeries(alg.spec, alg.variables, None, terms)
 
 
-def assert_columns_match_products(alg, rng):
-    # oracle: one full product and reduction per basis monomial
+def assert_walks_match_products(alg, rng):
+    # oracle: one full product and reduction per basis monomial; the CoeffElem
+    # walk must match it, and the integer walk the CoeffElem walk
     last = alg.var(len(alg.variables) - 1)
     unreduced = last * last * last * random_element(alg, rng)
     for f in (alg.one(), last, random_element(alg, rng), unreduced):
         expected = []
         for b in alg.basis():
             mono = TruncSeries(alg.spec, alg.variables, None, {b: CoeffElem.one(alg.spec)})
-            expected.append(alg.coordinates(alg.mul(f, mono)))
-        assert alg.multiplication_columns(f) == expected
+            expected.append(algebra_oracle.coordinates(alg, alg.mul(f, mono)))
+        columns = algebra_oracle.multiplication_columns(alg, f)
+        assert columns == expected
+        if alg.spec.width > 1:
+            with pytest.raises(ModeError):
+                alg.integer_matrix(f)
+            continue
+        ints = [[c.constant_part() for c in col] for col in columns]
+        assert alg.integer_matrix(f) == [list(row) for row in zip(*ints)]
+        assert alg.integer_coordinates(f) == ints[0]
 
 
-def test_multiplication_columns_on_ambient_rings():
+def test_integer_matrix_on_ambient_rings():
     rng = random.Random(5)
-    for spec, p, gtype in ((ZX2, 2, (3,)), (ZX3, 3, (2,)), (ZX2, 2, (1, 1))):
+    for spec, p, gtype in ((ZX2, 2, (3,)), (ZX3, 3, (2,)), (ZX2, 2, (1, 1)), (Z16, 2, (2,))):
         law = multiplicative_law(spec, p ** max(gtype) + 2)
-        assert_columns_match_products(group_cohomology_ring(law, AbelianPType(gtype)), rng)
+        assert_walks_match_products(group_cohomology_ring(law, AbelianPType(gtype)), rng)
 
 
-def test_multiplication_columns_on_triangular_level_rings():
+def test_integer_matrix_on_triangular_level_rings():
+    # the u rings check the CoeffElem walk alone; honda height 2 over F_p has
+    # triangular level rings of width 1, where the integer walk runs too
     rng = random.Random(6)
-    law = lubin_tate_height2_law(LT2_SMALL, 24)
-    for gtype in (AbelianPType((1,)), AbelianPType((1, 1))):
-        assert_columns_match_products(level_ring(law, gtype), rng)
+    laws = [lubin_tate_height2_law(LT2_SMALL, 24),
+            honda_law(CoeffRingSpec(p=2, p_precision=1), 2, 12),
+            honda_law(CoeffRingSpec(p=3, p_precision=1), 2, 20)]
+    for law in laws:
+        for gtype in (AbelianPType((1,)), AbelianPType((1, 1))):
+            assert_walks_match_products(level_ring(law, gtype), rng)
 
 
 def test_character_sums_order_and_values():
@@ -344,6 +360,63 @@ def test_reduce_matches_the_rescanning_oracle(name, data):
     a, b = data.draw(unreduced_elements(alg)), data.draw(unreduced_elements(alg))
     for f in (a, a * b):
         assert alg.reduce(f) == algebra_oracle.reduce(alg, f)
+
+
+Z9 = CoeffRingSpec(p=3, p_precision=2)
+Z9U3 = CoeffRingSpec(p=3, p_precision=2, deformation_params=1, u_degree_cap=3)
+
+
+def tail_ranges(degrees, j):
+    """Exponent bounds of the tail of relation j: x_j below its lead degree, the
+    earlier variables up to one above theirs, the later ones absent."""
+    return [d + 2 for d in degrees[:j]] + [degrees[j]] + [1] * (len(degrees) - j - 1)
+
+
+def triangular_algebra(spec, degrees, tails) -> FiniteAlgebra:
+    """Relation j is x_j^(d_j) plus tails[j], a dict exponent -> coefficient list."""
+    variables = tuple(f"x{i + 1}" for i in range(len(degrees)))
+    relations = []
+    for j, (d, tail) in enumerate(zip(degrees, tails)):
+        lead = tuple(d if i == j else 0 for i in range(len(degrees)))
+        relations.append(TruncSeries(spec, variables, None, {
+            e: CoeffElem(spec, c) for e, c in {**tail, lead: [1]}.items()}))
+    return FiniteAlgebra(spec, variables, relations, tuple(degrees))
+
+
+@st.composite
+def triangular_cases(draw, spec):
+    """Up to 3 variables of lead degree up to 3, up to 5 tail terms a relation,
+    and an unreduced element."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    coeff = st.lists(st.integers(-50, 50), min_size=1, max_size=spec.width)
+    tails = [draw(st.dictionaries(st.tuples(*[st.integers(0, n - 1) for n in
+                                              tail_ranges(degrees, j)]), coeff, max_size=5))
+             for j in range(len(degrees))]
+    alg = triangular_algebra(spec, degrees, tails)
+    return alg, draw(unreduced_elements(alg))
+
+
+def slot_bound_case(spec, degrees):
+    """The case the slot width is proved for: every tail holds every monomial
+    its relation allows, and -tail and the element, dense up to twice the lead
+    degrees, have p^N - 1 in every u-slot."""
+    tails = [dict.fromkeys(itertools.product(*map(range, tail_ranges(degrees, j))),
+                           [1] * spec.width) for j in range(len(degrees))]
+    alg = triangular_algebra(spec, degrees, tails)
+    top = CoeffElem(spec, [spec.modulus - 1] * spec.width)
+    dense = itertools.product(*[range(2 * d + 1) for d in degrees])
+    return alg, TruncSeries(spec, alg.variables, None, dict.fromkeys(dense, top))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from([ZX3, Z9, Z9U3]).flatmap(triangular_cases))
+@example(slot_bound_case(Z9, (3, 3)))
+@example(slot_bound_case(Z9U3, (3,)))
+@example(slot_bound_case(Z9U3, (3, 2, 2)))
+def test_reduce_on_triangular_algebras_matches_the_rescanning_oracle(case):
+    # over Z, Z/p^N and Z/p^N[u]/(u^D); the examples reach the proved slot bound
+    alg, f = case
+    assert alg.reduce(f) == algebra_oracle.reduce(alg, f)
 
 
 def test_unkilled_relation_names_map_index_and_precision():

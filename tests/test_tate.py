@@ -1,6 +1,7 @@
 import pytest
 import sympy
 
+import algebra_oracle
 import fgl.grouprings
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
@@ -207,7 +208,7 @@ def _sympy_matrix(alg, f):
     cols = []
     for b in alg.basis():
         mono = TruncSeries(alg.spec, alg.variables, None, {b: CoeffElem.one(alg.spec)})
-        cols.append([c.constant_part() for c in alg.coordinates(alg.mul(f, mono))])
+        cols.append([c.constant_part() for c in algebra_oracle.coordinates(alg, alg.mul(f, mono))])
     return sympy.Matrix(cols).T
 
 

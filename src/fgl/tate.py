@@ -201,7 +201,10 @@ def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> Fac
     on ambient/(eventual kernel) every factor's multiplication matrix M_f B
     must have full rank q.
     """
-    results = [rank(loc.multiplication_matrix(f)) == loc.quotient_rank for f in euler.factors]
+    results = []
+    for factor in euler.factors:
+        m = loc.multiplication_matrix(factor)
+        results.append(rank(m) == loc.quotient_rank)
     return FactorReport(factors_checked=len(euler.factors), invertible=results)
 
 

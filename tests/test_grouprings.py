@@ -343,12 +343,12 @@ def reduction_rings() -> dict[str, FiniteAlgebra]:
 
 
 @st.composite
-def unreduced_elements(draw, alg: FiniteAlgebra) -> TruncSeries:
-    """Up to 6 terms at x_j-degrees up to twice the lead degrees."""
+def unreduced_elements(draw, alg: FiniteAlgebra, min_size: int = 0) -> TruncSeries:
+    """``min_size`` to 6 terms at x_j-degrees up to twice the lead degrees."""
     hi = alg.spec.modulus or 10 ** 12
     expo = st.tuples(*[st.integers(0, 2 * d) for d in alg.lead_degrees])
     coeff = st.lists(st.integers(-hi, hi), min_size=1, max_size=alg.spec.width)
-    terms = draw(st.dictionaries(expo, coeff, max_size=6))
+    terms = draw(st.dictionaries(expo, coeff, min_size=min_size, max_size=6))
     return TruncSeries(alg.spec, alg.variables, None,
                        {e: CoeffElem(alg.spec, c) for e, c in terms.items()})
 
@@ -386,14 +386,14 @@ def triangular_algebra(spec, degrees, tails) -> FiniteAlgebra:
 @st.composite
 def triangular_cases(draw, spec):
     """Up to 3 variables of lead degree up to 3, up to 5 tail terms a relation,
-    and an unreduced element."""
+    and the product of two nonzero unreduced elements."""
     degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     coeff = st.lists(st.integers(-50, 50), min_size=1, max_size=spec.width)
     tails = [draw(st.dictionaries(st.tuples(*[st.integers(0, n - 1) for n in
                                               tail_ranges(degrees, j)]), coeff, max_size=5))
              for j in range(len(degrees))]
     alg = triangular_algebra(spec, degrees, tails)
-    return alg, draw(unreduced_elements(alg))
+    return alg, draw(unreduced_elements(alg, 1)) * draw(unreduced_elements(alg, 1))
 
 
 def slot_bound_case(spec, degrees):

@@ -414,7 +414,7 @@ def slot_bound_case(spec, degrees):
 @example(slot_bound_case(Z9U3, (3,)))
 @example(slot_bound_case(Z9U3, (3, 2, 2)))
 def test_reduce_on_triangular_algebras_matches_the_rescanning_oracle(case):
-    # over Z, Z/p^N and Z/p^N[u]/(u^D); the examples reach the proved slot bound
+    # over Z, Z/p^N and Z/p^N[u]/(u^D); the examples are the worst case of the slot proof
     alg, f = case
     assert alg.reduce(f) == algebra_oracle.reduce(alg, f)
 

@@ -123,6 +123,13 @@ class CoeffElem:
         return cls(spec, (value,))
 
     @classmethod
+    def u_var(cls, spec: CoeffRingSpec) -> "CoeffElem":
+        """The deformation parameter u."""
+        if not spec.deformation_params:
+            raise SpecMismatch("the ring has no deformation parameter u")
+        return cls(spec, (0, 1))
+
+    @classmethod
     def zero(cls, spec: CoeffRingSpec) -> "CoeffElem":
         return cls(spec, (), _clean=True)
 
@@ -219,7 +226,7 @@ class CoeffElem:
                 raise NotDivisible(f"coefficient {c} is not divisible by {spec.p}")
         return CoeffElem(spec, tuple(c // spec.p for c in self.terms), _clean=True)
 
-    # -- comparisons / display --------------------------------
+    # -- comparisons / display ----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffElem):

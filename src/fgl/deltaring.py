@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
-from .errors import NotAFrobeniusLift
+from .errors import NotAFrobeniusLift, TruncationTooSmall
 from .series import TruncSeries
 
 # a random sample element: 1 to 4 terms, exponents to 3, coefficients in [-9, 9]
@@ -236,6 +236,7 @@ class SheafValue:
     ring: DeltaRing
     base: object  # FiniteAlgebra or CoeffRingSpec
     frobenius_power: int
+    degree_bound: int | None
     generator_images: dict[str, TruncSeries]
 
     def apply_to_generator(self, g: str) -> TruncSeries:
@@ -248,16 +249,24 @@ class SheafValue:
         return SheafValue(
             ring=self.ring, base=self.base,
             frobenius_power=self.frobenius_power + other.frobenius_power,
-            generator_images=images,
+            degree_bound=self.degree_bound, generator_images=images,
         )
 
 
-def sheaf_eval(ring: DeltaRing, base, r: int) -> SheafValue:
+def sheaf_eval(ring: DeltaRing, base, r: int, degree_bound: int | None = None) -> SheafValue:
     """Evaluate the deformation sheaf of ``ring`` on (base, Frob^r)."""
     if r < 0:
         raise ValueError("Frobenius power must be >= 0")
-    images = {g: ring.psi_power(ring.var(g), r) for g in ring.generators}
-    return SheafValue(ring=ring, base=base, frobenius_power=r, generator_images=images)
+    images = {}
+    for g in ring.generators:
+        img = ring.psi_power(ring.var(g), r)
+        if degree_bound is not None and img.degree() > degree_bound:
+            raise TruncationTooSmall(
+                f"psi^{r}({g}) has degree {img.degree()} > bound {degree_bound}"
+            )
+        images[g] = img
+    return SheafValue(ring=ring, base=base, frobenius_power=r,
+                      degree_bound=degree_bound, generator_images=images)
 
 
 def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,

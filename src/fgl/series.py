@@ -114,6 +114,14 @@ class TruncSeries:
             raise SpecMismatch("coefficient_of_degree needs a univariate series")
         return self.terms.get((degree,), CoeffElem.zero(self.spec))
 
+    def degree(self) -> int:
+        """Total degree of the highest stored term (-1 for zero)."""
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def valuation(self) -> int | None:
+        """Total degree of the lowest stored term (None for zero)."""
+        return min((sum(e) for e in self.terms), default=None)
+
     def homogeneous_part(self, degree: int) -> "TruncSeries":
         terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
         return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
@@ -248,13 +256,16 @@ class TruncSeries:
         }
 
 
+_ONE_SLOT = itemgetter(0), lambda v: (v,)  # (pack, unpack) without u: the int is the coefficient
+
+
 def _packing(spec: CoeffRingSpec, products: int):
     """(pack, unpack, canon): one int per coefficient, each u^i slot wide enough
     for ``products`` products of canonical coefficients; unpack reads the slots
     below u^D, canon makes a raw int canonical. Without u the int is the coefficient."""
     m = spec.modulus
     if spec.width == 1:
-        return itemgetter(0), lambda v: (v,), (lambda v: v) if m is None else lambda v: v % m
+        return *_ONE_SLOT, (lambda v: v) if m is None else lambda v: v % m
     w = 2 * (m - 1).bit_length() + products.bit_length()
     shifts, mask = range(0, w * spec.width, w), (1 << w) - 1
     pack, unpack = (lambda t: sum(map(lshift, t, shifts))), \
@@ -264,7 +275,8 @@ def _packing(spec: CoeffRingSpec, products: int):
 
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    pack, unpack, _ = _packing(spec, spec.width * sum(min(len(a), len(b)) for a, b in pairs))
+    pack, unpack = _ONE_SLOT if spec.width == 1 else \
+        _packing(spec, spec.width * sum(min(len(a), len(b)) for a, b in pairs))[:2]
     limit = inf if cap is None else cap
     acc: dict[Expo, int] = {}
     for left, right in pairs:

@@ -40,7 +40,7 @@ def test_add_identity():
 
 
 def test_add_u_coefficients_cancel_mod_9():
-    u = CoeffElem(Z3_2_U, (0, 1))
+    u = CoeffElem.u_var(Z3_2_U)
     assert u.scale(4) + u.scale(5) == CoeffElem.zero(Z3_2_U)
 
 
@@ -50,7 +50,7 @@ def test_mul_identity():
 
 
 def test_mul_degree_cap_drops_u_squared():
-    u = CoeffElem(Z3_2_U, (0, 1))
+    u = CoeffElem.u_var(Z3_2_U)
     assert u * u == CoeffElem.zero(Z3_2_U)
 
 
@@ -71,7 +71,7 @@ def test_invert_three_mod_16_against_search():
 
 def test_invert_one_plus_u_geometric():
     one = CoeffElem.one(Z3_2_U)
-    u = CoeffElem(Z3_2_U, (0, 1))
+    u = CoeffElem.u_var(Z3_2_U)
     assert (one + u).invert() == one - u
 
 
@@ -154,7 +154,7 @@ def test_canonical_representatives():
 def test_dense_layout_and_json():
     a = CoeffElem(Z3_2_U, [4, 9, 5])  # 9 = 0 mod 9, and u^2 = 0
     assert a.terms == (4,) and CoeffElem.zero(Z3_2_U).terms == ()
-    u = CoeffElem(Z3_2_U, (0, 1))
+    u = CoeffElem.u_var(Z3_2_U)
     assert (u.scale(2) + C(Z3_2_U, 3)).to_json() == {
         "monomials": [{"exps": [0], "coeff": "3"}, {"exps": [1], "coeff": "2"}]}
     assert repr(u.scale(2) + C(Z3_2_U, 3)) == "3 + 2*u1"

@@ -12,7 +12,7 @@ from fgl.deltaring import (
     parse_delta_ring,
     sheaf_eval,
 )
-from fgl.errors import NotAFrobeniusLift
+from fgl.errors import NotAFrobeniusLift, TruncationTooSmall
 from fgl.series import TruncSeries
 
 F2 = CoeffRingSpec(p=2, p_precision=1)
@@ -134,6 +134,13 @@ def test_sheaf_eval_r2_squares_twice():
     sv = sheaf_eval(ring, CoeffRingSpec(p=2, p_precision=4), 2)
     t = ring.var("t")
     assert sv.apply_to_generator("t") == t * t * t * t  # t^(p^2)
+
+
+def test_sheaf_eval_degree_bound():
+    ring = make_zt(2)
+    with pytest.raises(TruncationTooSmall):
+        sheaf_eval(ring, F2, 3, degree_bound=7)  # t^8 exceeds 7
+    sheaf_eval(ring, F2, 3, degree_bound=8)
 
 
 def test_sheaf_composition_law_random_pairs():

@@ -87,6 +87,8 @@ def test_malformed_elements_are_spec_mismatch():
     with pytest.raises(SpecMismatch):
         CoeffElem(no_u, [1, 1])
     with pytest.raises(SpecMismatch):
+        CoeffElem.u_var(no_u)
+    with pytest.raises(SpecMismatch):
         TruncSeries(spec, ("x",), 4, {(1, 0): one})
     with pytest.raises(SpecMismatch):
         x.coefficient_of_degree(1)

@@ -253,7 +253,7 @@ def test_divide_with_algebra_coefficients():
     d = degree_of_first_unit(g, 24)
     assert d == 2  # one Weierstrass-degree-1 factor per a in F_2
     rng = random.Random(41)
-    u = CoeffElem(LT2_SMALL, (0, 1))
+    u = CoeffElem.u_var(LT2_SMALL)
     for _ in range(5):
         terms = {expo: CoeffElem.from_int(LT2_SMALL, rng.randrange(8))
                  + u * CoeffElem.from_int(LT2_SMALL, rng.randrange(8))

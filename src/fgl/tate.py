@@ -27,7 +27,7 @@ follow, each a rank or a zero test on integers:
   P-columns of the level basis monomials have rank q.
 
 Both rank tests ask for full rank, which ``linalg.rank`` certifies by one
-elimination modulo a word-size prime.
+elimination modulo the prime 2^61 - 1.
 
 This is only honest over exact (integer) coefficients: inverting a
 p-adically small element at finite p-precision is ill-posed, so truncated

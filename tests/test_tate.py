@@ -3,6 +3,9 @@ import sympy
 
 import algebra_oracle
 import fgl.grouprings
+import fgl.linalg
+import fgl.tate
+import linalg_oracle
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import ModeError, UnsupportedGroupType
@@ -247,3 +250,32 @@ def test_fitting_rule_matches_sympy_quotient(spec, p, m):
         q, ranks = _fitting_ranks(alg, alg.var(0), [p_series])
         assert q == p ** 2 - 1
         assert ranks == [q - (p - 1)]
+
+
+@pytest.mark.parametrize("spec, p, m, shape", [(ZX3, 3, 3, (27, 18)), (ZX5, 5, 2, (25, 20))])
+def test_tate_jobs_match_the_entrywise_kernels(spec, p, m, shape, monkeypatch):
+    # the `tate multiplicative` jobs at the CLI's default cap p^m + 4, whose
+    # n x q basis B has 40-50-bit entries, larger than the property tests of
+    # the packed kernels draw, give the same reports with the entry-by-entry
+    # oracles in place of mat_mul and the elimination mod l
+    law = multiplicative_law(spec, p ** m + 4)
+
+    def run():
+        report = level_to_tate_map(law, AbelianPType((m,)))
+        loc = report.localized
+        factors = factor_invertibility_check(report.euler, loc)
+        return (report.matrix, loc.image, loc.basis, report.source_rank,
+                report.target_rank, report.bijective, factors)
+
+    packed = run()
+    basis = packed[2]
+    assert (len(basis), len(basis[0])) == shape
+    assert 40 <= max(abs(x) for row in basis for x in row).bit_length() <= 50
+    calls = []
+    monkeypatch.setattr(fgl.linalg, "mat_mul",
+                        lambda a, b: calls.append("mat_mul") or linalg_oracle.mat_mul(a, b))
+    monkeypatch.setattr(fgl.tate, "mat_mul", fgl.linalg.mat_mul)
+    monkeypatch.setattr(fgl.linalg, "_rank_mod_l",
+                        lambda a: calls.append("rank") or linalg_oracle.rank_mod_l(a))
+    assert run() == packed
+    assert packed[-1].all_invertible and {"mat_mul", "rank"} <= set(calls)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -202,7 +203,7 @@ LONG_ROW = [[1, 0], [0, 1, 5], [0, 0, 0, 7]]
     lambda m: mat_mul(_filled(2, len(m), 1), m),
 ], ids=["rank", "rref", "nullspace", "mat_mul_left", "mat_mul_right"])
 def test_ragged_matrix_is_an_internal_inconsistency(entry, m):
-    lengths = str([len(row) for row in m]).replace("[", r"\[").replace("]", r"\]")
+    lengths = re.escape(str([len(row) for row in m]))
     with pytest.raises(InternalInconsistency, match=f"shapes do not fit, row lengths.*{lengths}"):
         entry(m)
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 mathematical check failure.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import hashlib
 import json
@@ -48,6 +49,7 @@ from .tate import euler_image_in_level, factor_invertibility_check, level_to_tat
 from .weierstrass import weierstrass_prepare
 
 LAWS = ("multiplicative", "additive", "honda", "lubinTate2")
+_SHARED_LAWS = contextvars.ContextVar("shared_laws")  # set only while run_suite runs its jobs
 
 
 def canonical_json(data) -> str:
@@ -97,11 +99,13 @@ def _spec(job: dict) -> CoeffRingSpec:
 
 def _build_law(job: dict) -> FormalGroupLaw:
     spec, trunc = _spec(job), int(job["trunc"])
-    if job["law"] == "honda":
-        return honda_law(spec, _positive(job, "height", 1), trunc)
-    build = {"multiplicative": multiplicative_law, "additive": additive_law,
-             "lubinTate2": lubin_tate_height2_law}[job["law"]]
-    return build(spec, trunc)
+    height = _positive(job, "height", 1) if job["law"] == "honda" else None
+    laws, key = _SHARED_LAWS.get({}), (job["law"], spec, trunc, height)  # {}: outside run_suite
+    if key not in laws:
+        build = {"multiplicative": multiplicative_law, "additive": additive_law,
+                 "honda": honda_law, "lubinTate2": lubin_tate_height2_law}[job["law"]]
+        laws[key] = build(spec, height, trunc) if height else build(spec, trunc)
+    return laws[key]
 
 
 def _default_trunc(job: dict) -> int:
@@ -321,7 +325,11 @@ def run_suite(config_path: str, baseline_path: str | None = None,
         _cache_store(cache, record)
         return record
 
-    records = [run_one(job) for job in jobs]
+    token = _SHARED_LAWS.set({})  # jobs of this call share laws; no later call sees them
+    try:
+        records = [run_one(job) for job in jobs]
+    finally:
+        _SHARED_LAWS.reset(token)
 
     all_passed = True
     for record in records:
@@ -455,8 +463,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fgl {args.command}: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(record) + "\n")
+        try:
+            pathlib.Path(args.output).write_text(canonical_json(record) + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"fgl {args.command}: cannot write {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     if args.format == "text":
         _print_text(record["outputs"], sys.stdout)
     else:

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import random
 from collections import Counter
 
 import pytest
@@ -81,6 +82,14 @@ def test_output_file_contains_record(tmp_path, capsys):
     assert record["outputs"]["degree"] == 2
     assert record["version"]
     assert record["hash"] == job_hash(record["job"])
+
+
+def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "check-axioms", "--law", "multiplicative", "--p", "2",
+                             "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"fgl check-axioms: cannot write {path}: No such file or directory\n"
 
 
 def test_text_format(capsys):
@@ -204,6 +213,48 @@ def count_builds(monkeypatch, names) -> Counter:
 
             monkeypatch.setattr(module, name, counted)
     return counts
+
+
+BUILDERS = ("multiplicative_law", "additive_law", "honda_law", "lubin_tate_height2_law")
+
+
+def suite_outputs(tmp_path, jobs: list, name: str) -> dict:
+    """The outputs by job hash of one run_suite call over ``jobs`` on a fresh cache."""
+    config, cache = tmp_path / f"{name}.json", tmp_path / f"{name}-cache"
+    config.write_text(json.dumps(jobs))
+    assert run_suite(str(config), cache=str(cache), out=io.StringIO()) == 0
+    records = [json.loads(path.read_text()) for path in cache.glob("*.json")]
+    return {record["hash"]: record["outputs"] for record in records}
+
+
+def test_shared_laws_give_the_outputs_of_lone_jobs_in_any_order(tmp_path):
+    jobs = json.loads((ROOT / "suite" / "default.json").read_text())
+    alone = {record["hash"]: record["outputs"] for record in map(run_job, jobs)}
+    shuffled = random.Random(18).sample(jobs, len(jobs))
+    assert shuffled != jobs
+    assert suite_outputs(tmp_path, jobs, "in-order") == alone
+    assert suite_outputs(tmp_path, shuffled, "shuffled") == alone
+
+
+def test_laws_are_shared_within_one_run_suite_call_only(tmp_path, monkeypatch):
+    counts = count_builds(monkeypatch, BUILDERS)
+    config = str(WORKLOADS / "height2_modular.json")
+    for calls in (1, 2):  # 9 jobs of 7 distinct laws, each call on a fresh cache
+        assert run_suite(config, cache=str(tmp_path / f"cache{calls}"), out=io.StringIO()) == 0
+        assert sum(counts.values()) == 7 * calls
+    job = {"command": "series", "law": "multiplicative", "p": 2, "m": 4}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([job, {**job, "pprec": 0}]))
+    with pytest.raises(ValueError, match="pprec"):
+        run_suite(str(bad), cache=str(tmp_path / "bad-cache"), out=io.StringIO())
+    assert fgl.cli._SHARED_LAWS.get(None) is None  # dropped on the way out, even on error
+
+
+def test_lone_jobs_build_their_own_laws(monkeypatch):
+    counts = count_builds(monkeypatch, BUILDERS)
+    job = {"command": "series", "law": "multiplicative", "p": 2, "m": 4}
+    assert run_job(job)["outputs"] == run_job(job)["outputs"]
+    assert counts == {"multiplicative_law": 2}
 
 
 def test_suite_fills_trunc_once_and_canonicalizes_once_per_record(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from fgl.errors import (
     TruncationTooSmall,
 )
 from fgl.laws import (
+    FormalGroupLaw,
     _law_from_log,
     additive_law,
     honda_law,
@@ -174,6 +175,68 @@ def test_lubin_tate_axioms():
     assert law.F.subst({
         "x": law.x(), "y": TruncSeries.zero(LT2_SPEC, ("x",), 10),
     }) == law.x()
+
+
+# -- check_axioms against the two-substitution oracle ---------------------------------
+
+Z5_2U3 = CoeffRingSpec(p=5, p_precision=2, deformation_params=1, u_degree_cap=3)
+
+
+def hand_made(spec, cap, terms):
+    return FormalGroupLaw(spec, poly(spec, ("x", "y"), cap, terms), None, "hand-made")
+
+
+@pytest.mark.parametrize("spec", [ZX2, Z2_4, F3, Z5_2U3], ids=["Z", "Z/16", "F3", "Z/25[u]"])
+@pytest.mark.parametrize("terms, expected", [
+    # x + y + x^2 y: a unit law, but not commutative and not associative
+    ({(1, 0): 1, (0, 1): 1, (2, 1): 1}, (True, False, False)),
+    # x + y + x^2 y + x y^2: commutative, but F(F(x,y),z) - F(x,F(y,z)) =
+    # 2 x^3 y z - 2 x y z^3 + 3 x^2 y^2 z - 3 x y^2 z^2 + (degree 7), nonzero below the cap 6
+    ({(1, 0): 1, (0, 1): 1, (2, 1): 1, (1, 2): 1}, (True, True, False)),
+    # x + y + x y: the multiplicative law written by hand
+    ({(1, 0): 1, (0, 1): 1, (1, 1): 1}, (True, True, True)),
+    # x + y + x^2: F(0, y) = y but F(x, 0) = x + x^2; the two sides differ at x^2
+    ({(1, 0): 1, (0, 1): 1, (2, 0): 1}, (False, False, False)),
+    # F(x, y) = x: associative, and neither unital nor commutative
+    ({(1, 0): 1}, (False, False, True)),
+])
+def test_check_axioms_of_hand_made_laws(spec, terms, expected):
+    law = hand_made(spec, 6, terms)
+    axioms = law.check_axioms()
+    assert axioms == law_oracle.check_axioms(law)
+    assert axioms == dict(zip(("unit", "commutative", "associative"), expected))
+
+
+@st.composite
+def bivariate_series(draw):
+    """A random F(x, y) = x + y + (a few terms of degree >= 2), over Z, Z/p^N or
+    Z/p^N[u]/(u^D); optionally x <-> y symmetric, without pure powers, or x + y + c xy."""
+    spec = draw(st.sampled_from([ZX2, Z2_4, F2, F3, CoeffRingSpec(p=3, p_precision=2),
+                                 CoeffRingSpec(p=2, p_precision=3, deformation_params=1,
+                                               u_degree_cap=2), Z5_2U3]))
+    cap = draw(st.integers(3, 6))
+    coeff = st.lists(st.integers(-3, 3), min_size=spec.width, max_size=spec.width).map(
+        lambda ints: CoeffElem(spec, ints))
+    one = CoeffElem.one(spec)
+    terms = {(1, 0): one, (0, 1): one}
+    shape = draw(st.sampled_from(["any", "unital", "symmetric", "symmetric unital",
+                                  "multiplicative"]))
+    if shape == "multiplicative":
+        terms[(1, 1)] = draw(coeff)
+    else:
+        exponents = [(a, b) for a in range(cap) for b in range(cap) if 2 <= a + b < cap
+                     and ("unital" not in shape or a and b)]
+        for a, b in draw(st.lists(st.sampled_from(exponents), max_size=4, unique=True)):
+            c = draw(coeff)
+            for expo in {(a, b), (b, a)} if "symmetric" in shape else {(a, b)}:
+                terms[expo] = terms.get(expo, CoeffElem.zero(spec)) + c
+    return FormalGroupLaw(spec, TruncSeries(spec, ("x", "y"), cap, terms), None, shape)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(law=bivariate_series())
+def test_check_axioms_matches_two_substitution_oracle(law):
+    assert law.check_axioms() == law_oracle.check_axioms(law)
 
 
 def test_lubin_tate_two_series_low_coefficients():

@@ -451,9 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return run_suite(args.config, baseline_path=args.baseline, cache=args.cache,
                              update_baseline=args.update_baseline)
-        except (FGLError, OSError, ValueError) as exc:
+        except (FGLError, OSError, ValueError) as exc:  # a check failed (2), or usage (1)
             print(f"fgl suite: {exc}", file=sys.stderr)
-            return 2
+            return 2 if isinstance(exc, FGLError) else 1
     try:
         record = run_job(_job_from_args(args))
     except FGLError as exc:

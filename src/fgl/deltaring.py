@@ -8,7 +8,8 @@ satisfy psi(g) = g^p mod p. The derived operation
 
 is then well defined with exact integer division, and the usual sum and
 product rules for delta are theorems, checked here on random samples rather
-than assumed.
+than assumed. psi is a substitution of the psi images; the ring keeps one
+table of their powers for its lifetime, so each power is formed once.
 
 The sheaf evaluation realizes, for a base ring S and a Frobenius power r,
 the completed tensor A (x) S with the map psi^r (x) Id_S; composing two
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
-from .errors import NotAFrobeniusLift, TruncationTooSmall
+from .errors import NotAFrobeniusLift
 from .series import TruncSeries
 
 # a random sample element: 1 to 4 terms, exponents to 3, coefficients in [-9, 9]
@@ -41,6 +42,7 @@ class DeltaRing:
         self.generators = tuple(generators)
         self.psi_images = {g: psi_images[g].rename(self.generators, None)
                            for g in self.generators}
+        self._psi_powers: dict[str, list[TruncSeries]] = {}  # subst's power table, kept
         for g in self.generators:
             gen = self.var(g)
             defect = self.psi_images[g] - _power(gen, p)
@@ -73,7 +75,7 @@ class DeltaRing:
     def psi(self, a: TruncSeries) -> TruncSeries:
         if not self.generators:
             return a  # psi is the identity on Z
-        return a.subst(self.psi_images)
+        return a.subst(self.psi_images, self._psi_powers)
 
     def psi_power(self, a: TruncSeries, r: int) -> TruncSeries:
         out = a
@@ -117,11 +119,11 @@ class DeltaRing:
 
 
 def _power(a: TruncSeries, n: int) -> TruncSeries:
-    """a^n by repeated squaring (1 for n <= 0)."""
-    out = TruncSeries.one(a.spec, a.variables, a.cap)
+    """a^n by repeated squaring (1 for n <= 0); no product by 1."""
+    out = None if n > 0 else TruncSeries.one(a.spec, a.variables, a.cap)
     while n > 0:
         if n & 1:
-            out = out * a
+            out = a if out is None else out * a
         n >>= 1
         if n:
             a = a * a
@@ -134,7 +136,7 @@ def _all_divisible(a: TruncSeries, p: int) -> bool:
 
 def _divide_terms_by_p(a: TruncSeries) -> TruncSeries:
     terms = {expo: c.exact_divide_by_p() for expo, c in a.terms.items()}
-    return TruncSeries(a.spec, a.variables, a.cap, terms)
+    return TruncSeries(a.spec, a.variables, a.cap, terms, _clean=True)
 
 
 def parse_delta_ring(text: str, default_p: int | None = None) -> DeltaRing:
@@ -236,7 +238,6 @@ class SheafValue:
     ring: DeltaRing
     base: object  # FiniteAlgebra or CoeffRingSpec
     frobenius_power: int
-    degree_bound: int | None
     generator_images: dict[str, TruncSeries]
 
     def apply_to_generator(self, g: str) -> TruncSeries:
@@ -249,24 +250,16 @@ class SheafValue:
         return SheafValue(
             ring=self.ring, base=self.base,
             frobenius_power=self.frobenius_power + other.frobenius_power,
-            degree_bound=self.degree_bound, generator_images=images,
+            generator_images=images,
         )
 
 
-def sheaf_eval(ring: DeltaRing, base, r: int, degree_bound: int | None = None) -> SheafValue:
+def sheaf_eval(ring: DeltaRing, base, r: int) -> SheafValue:
     """Evaluate the deformation sheaf of ``ring`` on (base, Frob^r)."""
     if r < 0:
         raise ValueError("Frobenius power must be >= 0")
-    images = {}
-    for g in ring.generators:
-        img = ring.psi_power(ring.var(g), r)
-        if degree_bound is not None and img.degree() > degree_bound:
-            raise TruncationTooSmall(
-                f"psi^{r}({g}) has degree {img.degree()} > bound {degree_bound}"
-            )
-        images[g] = img
-    return SheafValue(ring=ring, base=base, frobenius_power=r,
-                      degree_bound=degree_bound, generator_images=images)
+    images = {g: ring.psi_power(ring.var(g), r) for g in ring.generators}
+    return SheafValue(ring=ring, base=base, frobenius_power=r, generator_images=images)
 
 
 def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,

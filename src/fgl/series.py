@@ -16,15 +16,17 @@ int per output monomial, unpacked and reduced once (slots at u^D and up
 dropped). Over Z/p^N[u]/(u^D) a slot sums at most D*S products of coefficients
 below p^N, S the sum over the pairs of min(|A|, |B|), so w = 2*bitlen(p^N - 1)
 + bitlen(D*S) keeps it below 2^w: no slot carries. Without u a coefficient is
-its integer. ``subst`` groups the terms by their exponent i of the variable o
-with the most image terms (Paterson and Stockmeyer's baby and giant steps) into
-one sum of R_i * o^i, R_i = sum of c * (other images' cached powers) in group i.
+its integer (one slot), and sums, differences and the kernel's output are
+formed on those ints and reduced mod p^N once. ``subst`` groups the terms by
+their exponent i of the variable o with the most image terms (Paterson and
+Stockmeyer's baby and giant steps) into one sum of R_i * o^i, R_i = sum of
+c * (other images' powers) in group i; the table of image powers may be kept
+by the caller across calls, as ``DeltaRing`` does for its psi images.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
 from math import inf
 from operator import add, itemgetter, lshift, mul
 
@@ -114,10 +116,6 @@ class TruncSeries:
             raise SpecMismatch("coefficient_of_degree needs a univariate series")
         return self.terms.get((degree,), CoeffElem.zero(self.spec))
 
-    def degree(self) -> int:
-        """Total degree of the highest stored term (-1 for zero)."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def valuation(self) -> int | None:
         """Total degree of the lowest stored term (None for zero)."""
         return min((sum(e) for e in self.terms), default=None)
@@ -143,7 +141,17 @@ class TruncSeries:
     def _combine(self, other: "TruncSeries", subtract: bool) -> "TruncSeries":
         """self + other, or self - other: one coefficient operation per common term."""
         self._compat(other)
-        terms = dict(self.terms)
+        spec, terms = self.spec, dict(self.terms)
+        if spec.width == 1:  # one slot: add the ints, reduce once as the kernel does
+            m = spec.modulus
+            for expo, c in other.terms.items():
+                v = terms.get(expo)
+                s = (v.terms[0] if v else 0) + (-c.terms[0] if subtract else c.terms[0])
+                if s := s % m if m else s:
+                    terms[expo] = CoeffElem(spec, (s,), _clean=True)
+                else:
+                    del terms[expo]
+            return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
         for expo, c in other.terms.items():
             v = terms.get(expo)
             s = (-c if subtract else c) if v is None else (v - c if subtract else v + c)
@@ -151,7 +159,7 @@ class TruncSeries:
                 terms.pop(expo)
             else:
                 terms[expo] = s
-        return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
+        return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._compat(other)
@@ -167,14 +175,17 @@ class TruncSeries:
 
     # -- substitution -------------------------------------------------------
 
-    def subst(self, images: dict[str, "TruncSeries"]) -> "TruncSeries":
+    def subst(self, images: dict[str, "TruncSeries"],
+              powers: dict[str, list["TruncSeries"]] | None = None) -> "TruncSeries":
         """Substitute series for variables.
 
         Every variable of ``self`` must be given an image; the images must
         live in one common series ring, and any image substituted into a
         positive power must have zero constant term whenever a degree cap
         is in force (otherwise truncation would not commute with
-        substitution; NonNilpotentArgument).
+        substitution; NonNilpotentArgument). ``powers`` maps a variable to
+        the table [1, image, image^2, ...]; it is read and extended here, so
+        a caller that keeps it pays for each power of an image once.
         """
         missing = [v for v in self.variables if v not in images]
         if missing:
@@ -182,14 +193,19 @@ class TruncSeries:
         model = images[self.variables[0]]
         spec, variables, cap = self.spec, model.variables, model.cap
         one, zero = TruncSeries.one(spec, variables, cap), (0,) * len(variables)
-        powers = []  # powers[j][k]: the k-th power of the j-th image, k up to its top exponent
+        powers = {} if powers is None else powers
         for j, name in enumerate(self.variables):
             one._compat(images[name])
             top = max(map(itemgetter(j), self.terms), default=0)
             if cap is not None and top and zero in images[name].terms:
                 raise NonNilpotentArgument(
                     f"image of {name} has a nonzero constant term ({spec.precision_label(cap)})")
-            powers.append([one, *accumulate([images[name]] * top, mul)])
+            table = powers.get(name)
+            if table is None or table[1] is not images[name]:  # a new image starts a new table
+                table = powers[name] = [one, images[name]]
+            while len(table) <= top:
+                table.append(table[-1] * images[name])
+        powers = [powers[name] for name in self.variables]  # powers[j][k]: image j to the k
         o = max(range(len(powers)), key=lambda j: len(images[self.variables[j]].terms))
         others = [(j, powers[j]) for j in range(len(powers)) if j != o]
         groups: dict[int, list] = {}
@@ -275,7 +291,8 @@ def _packing(spec: CoeffRingSpec, products: int):
 
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    pack, unpack = _ONE_SLOT if spec.width == 1 else \
+    one_slot = spec.width == 1
+    pack, unpack = _ONE_SLOT if one_slot else \
         _packing(spec, spec.width * sum(min(len(a), len(b)) for a, b in pairs))[:2]
     limit = inf if cap is None else cap
     acc: dict[Expo, int] = {}
@@ -291,8 +308,13 @@ def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: in
                 key = tuple(map(add, e1, e2))
                 acc[key] = acc.get(key, 0) + c1 * c2
     terms = {}
-    for key, v in acc.items():
-        t = _canonical(spec, unpack(v))
-        if t:
-            terms[key] = CoeffElem(spec, t, _clean=True)
+    if one_slot:  # the int is the coefficient, canonical mod p^N as in _packing
+        m = spec.modulus
+        for key, v in acc.items():
+            if v := v % m if m else v:
+                terms[key] = CoeffElem(spec, (v,), _clean=True)
+    else:
+        for key, v in acc.items():
+            if t := _canonical(spec, unpack(v)):
+                terms[key] = CoeffElem(spec, t, _clean=True)
     return TruncSeries(spec, variables, cap, terms, _clean=True)

@@ -199,6 +199,33 @@ def test_suite_recomputes_records_of_other_code(tmp_path, monkeypatch):
                for path in cache.glob("*.json"))
 
 
+SERIES_JOB = {"command": "series", "law": "multiplicative", "p": 2, "m": 4}
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "No such file or directory"),
+    ({"jobs": [SERIES_JOB]}, "suite config must be a JSON list of job specs"),
+    ([SERIES_JOB, {**SERIES_JOB, "pprec": 0}], "pprec must be a positive integer, got 0"),
+])
+def test_suite_usage_error_exits_one(tmp_path, capsys, config, message):
+    path = tmp_path / "suite.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "suite", "--config", str(path),
+                             "--cache", str(tmp_path / "cache"))
+    assert code == 1
+    assert message in err and err.startswith("fgl suite: ") and err.count("\n") == 1
+
+
+def test_suite_baseline_mismatch_exits_two(tmp_path, capsys):
+    config, baseline = write_suite(tmp_path), tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(["0" * 64]))
+    code, _, err = run_cli(capsys, "suite", "--config", config, "--baseline", str(baseline),
+                           "--cache", str(tmp_path / "cache"))
+    assert code == 2
+    assert err.startswith("fgl suite: baseline mismatch")
+
+
 def count_builds(monkeypatch, names) -> Counter:
     """Count calls of each named function through every binding a job looks up."""
     counts: Counter = Counter()

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import series_oracle
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.deltaring import (
     DeltaRing,
+    _power,
     congruence_check,
     cyclic_chains,
     elementary_rank2_chains,
@@ -12,7 +16,7 @@ from fgl.deltaring import (
     parse_delta_ring,
     sheaf_eval,
 )
-from fgl.errors import NotAFrobeniusLift, TruncationTooSmall
+from fgl.errors import NotAFrobeniusLift
 from fgl.series import TruncSeries
 
 F2 = CoeffRingSpec(p=2, p_precision=1)
@@ -85,6 +89,7 @@ def test_axioms_trivial_samples():
 def test_non_lift_pair_records_frobenius_lift_and_skips_the_dividing_rules():
     ring = parse_delta_ring("Z[t]; psi t -> t^2; p 2")
     t = ring.var("t")
+    assert ring.psi(t * t * t) == _power(t, 6)  # fills the power table of the old image
     ring.psi_images["t"] = t * t + t  # not t^2 mod 2; the constructor refuses it
     report = ring.check_axioms([(ring.constant(1), ring.constant(1)), (t, ring.constant(1))])
     assert report == {"passed": False, "checked": 2, "failures": ["pair 1: frobenius lift"]}
@@ -134,13 +139,6 @@ def test_sheaf_eval_r2_squares_twice():
     sv = sheaf_eval(ring, CoeffRingSpec(p=2, p_precision=4), 2)
     t = ring.var("t")
     assert sv.apply_to_generator("t") == t * t * t * t  # t^(p^2)
-
-
-def test_sheaf_eval_degree_bound():
-    ring = make_zt(2)
-    with pytest.raises(TruncationTooSmall):
-        sheaf_eval(ring, F2, 3, degree_bound=7)  # t^8 exceeds 7
-    sheaf_eval(ring, F2, 3, degree_bound=8)
 
 
 def test_sheaf_composition_law_random_pairs():
@@ -206,3 +204,54 @@ def test_frobenius_chain_check_wrong_length():
     ring = make_zt(2)
     report = frobenius_chain_check(ring, 2, {"short": ["only one step"]})
     assert not report["passed"]
+
+
+# -- psi on the ring's table of image powers ---------------------------------------
+
+# two generators whose images are not monomials, one of them with a constant term
+TWO_GENERATOR_RINGS = (
+    "Z[s, t]; psi s -> s^2 + 2*t; psi t -> t^2 - 2*s*t; p 2",
+    "Z[s, t]; psi s -> s^3 + 3*t; psi t -> t^3 - 3*s*t + 3; p 3",
+)
+
+
+def element(ring, terms: dict) -> TruncSeries:
+    return TruncSeries(ring.spec, ring.generators, None,
+                       {e: CoeffElem.from_int(ring.spec, c) for e, c in terms.items()})
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(TWO_GENERATOR_RINGS), st.data())
+def test_tabled_psi_matches_untabled_subst_and_the_oracle(text, data):
+    ring = parse_delta_ring(text)
+    terms = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                            st.integers(-9, 9), min_size=1, max_size=4)
+    for raw in data.draw(st.lists(terms, min_size=1, max_size=8)):  # the table grows in this order
+        a = element(ring, raw)
+        assert ring.psi(a) == a.subst(ring.psi_images) == series_oracle.subst(a, ring.psi_images)
+    for g, table in ring._psi_powers.items():
+        assert table == [_power(ring.psi_images[g], k) for k in range(len(table))]
+
+
+@pytest.mark.parametrize("text", TWO_GENERATOR_RINGS)
+def test_power_matches_repeated_products(text):
+    ring = parse_delta_ring(text)
+    a = ring.psi_images["t"] + ring.var("s")
+    expected = ring.constant(1)
+    for n in range(6):
+        assert _power(a, n) == expected
+        expected = series_oracle.mul(expected, a)
+
+
+@pytest.mark.parametrize("text", TWO_GENERATOR_RINGS + ("Z[t]; psi t -> t^3; p 3",))
+def test_psi_makes_no_product_once_the_table_holds_the_powers(text, monkeypatch):
+    ring = parse_delta_ring(text)
+    top = (3,) * len(ring.generators)
+    ring.psi(element(ring, {top: 1}))  # fills the table up to the cube of every image
+    a = element(ring, {(1,) * len(top): 5, top: -2, (0,) * len(top): 7})
+    calls = []
+    original = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__",
+                        lambda self, other: calls.append(1) or original(self, other))
+    assert ring.psi(a) == series_oracle.subst(a, ring.psi_images)
+    assert calls == []

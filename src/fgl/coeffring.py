@@ -21,15 +21,28 @@ Elements are immutable and dense: the tuple of canonical coefficients of
 elements are equal tuples. It is at most D long with a u and at most 1
 long without. The truncated product of two such coefficient lists is
 :func:`convolve`, which the law builder shares.
+
+The spec also fixes the one-int stored form of a coefficient that series
+and finite algebras keep per term (``pack``, ``unpack``): without u the
+coefficient itself, with u the canonical u-polynomial, u^i in bits
+[i W, (i + 1) W) for W = 2 bitlen(p^N - 1) + 32. A slot of a product of two
+stored ints sums at most D products of coefficients below p^N, so S such
+products add without a carry while D S < 2^32 (``check_room``). ``canon``
+reduces each slot below u^D of such a sum mod p^N and drops the rest;
+``bias`` holds p^N in every slot, so a + bias - b and bias - a never borrow.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from operator import lshift
 
-from .errors import ModeError, NotAUnit, NotDivisible, SpecMismatch
+from .errors import InternalInconsistency, NotAUnit, SpecMismatch
+
+# the headroom of a stored-form slot: it sums < 2^SLOT_ROOM_BITS products below p^2N
+SLOT_ROOM_BITS = 32
 
 
 def _is_prime(n: int) -> bool:
@@ -51,9 +64,13 @@ class CoeffRingSpec:
     p_precision: int | None = None
     deformation_params: int = 0
     u_degree_cap: int = 1
-    # p^N (None in exact mode) and the longest coefficient tuple, set once
+    # set once: p^N (None in exact mode), the longest tuple, the stored form (module docstring)
     modulus: int | None = field(init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
+    pack: Callable[[Sequence[int]], int] = field(init=False, repr=False, compare=False)
+    unpack: Callable[[int], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    canon: Callable[[int], int] = field(init=False, repr=False, compare=False)
+    bias: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -66,8 +83,20 @@ class CoeffRingSpec:
             raise ValueError("u_degree_cap must be >= 1")
         if self.exact and self.deformation_params != 0:
             raise ValueError("exact mode requires deformation_params = 0")
-        object.__setattr__(self, "modulus", None if self.exact else self.p ** self.p_precision)
-        object.__setattr__(self, "width", self.u_degree_cap if self.deformation_params else 1)
+        m = None if self.exact else self.p ** self.p_precision
+        width = self.u_degree_cap if self.deformation_params else 1
+        if self.deformation_params:  # u^i in bits [i W, (i + 1) W)
+            w = 2 * (m - 1).bit_length() + SLOT_ROOM_BITS
+            shifts, mask = range(0, w * width, w), (1 << w) - 1
+            pack, unpack, canon = (
+                lambda t: sum(map(lshift, t, shifts)),
+                lambda v: _canonical(self, [v >> s & mask for s in shifts]),
+                lambda v: sum([(v >> s & mask) % m << s for s in shifts]))
+            bias = pack([m] * width)
+        else:  # the int is the coefficient
+            pack, unpack = (lambda t: t[0] if t else 0), (lambda v: (v,) if v else ())
+            canon, bias = (int, 0) if m is None else (m.__rmod__, m)
+        vars(self).update(modulus=m, width=width, pack=pack, unpack=unpack, canon=canon, bias=bias)
 
     @property
     def exact(self) -> bool:
@@ -76,6 +105,17 @@ class CoeffRingSpec:
     @property
     def height(self) -> int:
         return self.deformation_params + 1
+
+    def __reduce__(self):  # pickle by value: the stored-form functions are closures
+        return CoeffRingSpec, (self.p, self.p_precision, self.deformation_params, self.u_degree_cap)
+
+    def check_room(self, products: int) -> None:
+        """InternalInconsistency unless a slot of the stored form can sum
+        ``products`` products of two stored ints (D * products < 2^32)."""
+        if self.width * products >> SLOT_ROOM_BITS:
+            raise InternalInconsistency(
+                f"{products} products per slot overflow the stored coefficient form "
+                f"({self.precision_label(None)})")
 
     def precision_label(self, cap: int | None) -> str:
         """"p=.., N=.., D=..", and ", T=cap" when a series degree cap is given."""
@@ -215,16 +255,6 @@ class CoeffElem:
                 break
             acc = acc + power
         return acc * inv0
-
-    def exact_divide_by_p(self) -> "CoeffElem":
-        """Coefficientwise division by p; exact mode only."""
-        spec = self.spec
-        if not spec.exact:
-            raise ModeError("division by p is only defined over exact integers")
-        for c in self.terms:
-            if c % spec.p != 0:
-                raise NotDivisible(f"coefficient {c} is not divisible by {spec.p}")
-        return CoeffElem(spec, tuple(c // spec.p for c in self.terms), _clean=True)
 
     # -- comparisons / display ----------------------------------------
 

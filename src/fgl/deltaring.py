@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .coeffring import CoeffElem, CoeffRingSpec
-from .errors import NotAFrobeniusLift
+from .errors import NotAFrobeniusLift, NotDivisible
 from .series import TruncSeries
 
 # a random sample element: 1 to 4 terms, exponents to 3, coefficients in [-9, 9]
@@ -44,12 +44,10 @@ class DeltaRing:
                            for g in self.generators}
         self._psi_powers: dict[str, list[TruncSeries]] = {}  # subst's power table, kept
         for g in self.generators:
-            gen = self.var(g)
-            defect = self.psi_images[g] - _power(gen, p)
-            if not _all_divisible(defect, p):
-                raise NotAFrobeniusLift(
-                    f"psi({g}) is not congruent to {g}^{p} mod {p}"
-                )
+            try:
+                _divide_terms_by_p(self.psi_images[g] - _power(self.var(g), p))
+            except NotDivisible:
+                raise NotAFrobeniusLift(f"psi({g}) is not congruent to {g}^{p} mod {p}") from None
 
     # -- element constructors -------------------------------------------
 
@@ -84,8 +82,7 @@ class DeltaRing:
         return out
 
     def delta(self, a: TruncSeries) -> TruncSeries:
-        diff = self.psi(a) - _power(a, self.p)
-        return _divide_terms_by_p(diff)
+        return _divide_terms_by_p(self.psi(a) - _power(a, self.p))
 
     def check_axioms(self, sample_pairs: list[tuple[TruncSeries, TruncSeries]]) -> dict:
         """Verify the delta-ring laws on the given pairs; returns a report."""
@@ -94,13 +91,15 @@ class DeltaRing:
         if not self.delta(self.constant(1)).is_zero():
             failures.append("delta(1) != 0")
         for i, (a, b) in enumerate(sample_pairs):
-            psi_a, psi_b, psi_sum, psi_prod = map(self.psi, (a, b, a + b, a * b))
-            ap, bp, sum_p = _power(a, p), _power(b, p), _power(a + b, p)
-            defect_a, defect_b = psi_a - ap, psi_b - bp
-            lift = _all_divisible(defect_a, p) and _all_divisible(defect_b, p)
-            rules = []
+            s = a + b
+            psi_a, psi_b, psi_sum, psi_prod = map(self.psi, (a, b, s, a * b))
+            ap, bp, sum_p = _power(a, p), _power(b, p), _power(s, p)
+            lift, rules = True, []
+            try:  # a and b lift Frobenius when their defects divide by p
+                da, db = _divide_terms_by_p(psi_a - ap), _divide_terms_by_p(psi_b - bp)
+            except NotDivisible:
+                lift = False
             if lift:  # the product and sum rules divide by p
-                da, db = _divide_terms_by_p(defect_a), _divide_terms_by_p(defect_b)
                 prod_rule = _divide_terms_by_p(psi_prod - ap * bp) == \
                     da * bp + ap * db + (da * db).scale(CoeffElem.from_int(self.spec, p))
                 binom = _divide_terms_by_p(ap + bp - sum_p)
@@ -130,12 +129,13 @@ def _power(a: TruncSeries, n: int) -> TruncSeries:
     return out
 
 
-def _all_divisible(a: TruncSeries, p: int) -> bool:
-    return all(c % p == 0 for elem in a.terms.values() for c in elem.terms)
-
-
 def _divide_terms_by_p(a: TruncSeries) -> TruncSeries:
-    terms = {expo: c.exact_divide_by_p() for expo, c in a.terms.items()}
+    """a / p in one divmod pass over its integer coefficients; NotDivisible unless exact."""
+    p, terms = a.spec.p, {}
+    for expo, c in a.terms.items():
+        terms[expo], r = divmod(c, p)
+        if r:
+            raise NotDivisible(f"coefficient {c} is not divisible by {p}")
     return TruncSeries(a.spec, a.variables, a.cap, terms, _clean=True)
 
 
@@ -190,6 +190,10 @@ def parse_delta_ring(text: str, default_p: int | None = None) -> DeltaRing:
     return DeltaRing(generators, images, p)
 
 
+# the operators outside the polynomial syntax, as an error names them (others by ast class)
+_OPERATORS = {ast.Div: "/", ast.FloorDiv: "//", ast.Mod: "%", ast.UAdd: "unary +"}
+
+
 def _parse_poly(text: str, generators: tuple[str, ...], spec: CoeffRingSpec) -> TruncSeries:
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
@@ -211,9 +215,11 @@ def _parse_poly(text: str, generators: tuple[str, ...], spec: CoeffRingSpec) -> 
                 if not isinstance(node.right, ast.Constant):
                     raise ValueError("exponent must be a literal integer")
                 return _power(left, node.right.value)  # an int: ev(node.right) checked it
-            raise ValueError(f"unsupported operator {node.op}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -ev(node.operand)
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            op = type(node.op)
+            raise ValueError(f"unsupported operator {_OPERATORS.get(op, op.__name__)}")
         if isinstance(node, ast.Constant):
             if type(node.value) is not int:  # a float or a bool is not an integer literal
                 raise ValueError(f"{node.value!r} is not an integer literal")
@@ -223,7 +229,7 @@ def _parse_poly(text: str, generators: tuple[str, ...], spec: CoeffRingSpec) -> 
             if node.id not in generators:
                 raise ValueError(f"unknown generator {node.id}")
             return TruncSeries.variable(spec, generators, None, node.id)
-        raise ValueError(f"unsupported syntax {ast.dump(node)}")
+        raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
 
     return ev(tree)
 
@@ -280,7 +286,7 @@ def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,
         diff = lhs - rhs
         # a (x) s mod p only sees coefficients mod p, uniformly in s
         for expo, c in diff.terms.items():
-            if any(v % p for v in c.terms):
+            if c % p:
                 failures.append(f"sample {i} at monomial {expo}")
                 break
     return {"passed": not failures, "checked": len(samples),

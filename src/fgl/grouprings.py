@@ -42,16 +42,16 @@ one sweep per variable, from the highest variable down and, in each, from
 the top degree down: no rewrite brings back a later variable or a degree
 already swept.
 
-The sweep keeps one raw int per monomial, packed as in the series kernel
-(``series._packing``); the tails are stored once that way, negated and
-canonical. A term is canonicalized when popped (with u: unpacked, reduced
-mod p^N, cut at u^D and repacked) and, if it survives, once at the end.
-No slot carries. In the sweep of x_j a monomial gets at most |tail_j|
-products: the popped exponent is fixed by the monomial and the tail term,
-and a popped degree never comes back in its own sweep. So a slot holds a
-canonical coefficient plus at most S = sum_j |tail_j| products of two
-canonical u-polynomials (each at most D (p^N - 1)^2 there), below 2^w for
-w = 2 bitlen(p^N - 1) + bitlen(D (1 + S)).
+The sweep keeps one int per monomial in the stored form of the series
+(``CoeffRingSpec.pack``); the tails are stored once that way, negated. It
+multiplies stored ints directly, and a term is canonicalized (``spec.canon``)
+when popped and, if it survives, once at the end. No slot carries. In the
+sweep of x_j a monomial gets at most |tail_j| products: the popped exponent
+is fixed by the monomial and the tail term, and a popped degree never comes
+back in its own sweep. So a slot holds a canonical coefficient plus at most
+sum_j |tail_j| products of two stored ints, at most D (1 + sum_j |tail_j|)
+products of coefficients below p^N; the constructor checks that room with
+``spec.check_room``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add, ge
 
-from .coeffring import CoeffElem, CoeffRingSpec, _canonical
+from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import (
     InternalInconsistency,
     ModeError,
@@ -72,7 +72,7 @@ from .errors import (
     UnsupportedGroupType,
 )
 from .laws import FormalGroupLaw
-from .series import TruncSeries, _packing
+from .series import TruncSeries
 from .weierstrass import divide as w_divide
 from .weierstrass import prepare as w_prepare
 
@@ -129,13 +129,12 @@ class FiniteAlgebra:
         self.relations = list(relations)
         self.lead_degrees = tuple(lead_degrees)
         self.label = label
-        # one raw int per coefficient; the module docstring bounds a slot
-        self._pack, self._unpack, self._canon = _packing(
-            spec, spec.width * (1 + sum(len(rel.terms) - 1 for rel in self.relations)))
+        # the module docstring bounds a slot of the sweep
+        spec.check_room(1 + sum(len(rel.terms) - 1 for rel in self.relations))
         self._tails = []
         for j, (rel, d) in enumerate(zip(self.relations, self.lead_degrees)):
             lead = tuple(d if i == j else 0 for i in range(len(self.variables)))
-            tail = [(e, self._pack((-c).terms)) for e, c in rel.terms.items() if e != lead]
+            tail = [(e, spec.canon(spec.bias - c)) for e, c in rel.terms.items() if e != lead]
             if (rel.coefficient(lead) != CoeffElem.one(spec)
                     or any(any(expo[j + 1:]) or expo[j] >= d for expo, _ in tail)):
                 raise InternalInconsistency(
@@ -150,8 +149,7 @@ class FiniteAlgebra:
         with no relation, the stage ring self[x]/(x^degree)."""
         variables = self.variables + (x,)
         if relation is None:
-            relation = TruncSeries(self.spec, (x,), None, {(degree,): CoeffElem.one(self.spec)},
-                                   _clean=True)
+            relation = TruncSeries(self.spec, (x,), None, {(degree,): CoeffElem.one(self.spec)})
         return FiniteAlgebra(self.spec, variables,
                              [rel.rename(variables, None) for rel in self.relations + [relation]],
                              self.lead_degrees + (degree,),
@@ -190,21 +188,17 @@ class FiniteAlgebra:
         """
         if f.variables != self.variables:
             f = f.rename(self.variables, None)
-        spec, pack, unpack, leads = self.spec, self._pack, self._unpack, self.lead_degrees
-        terms = dict(f.terms)
-        raw = {e: pack(terms.pop(e).terms) for e in f.terms if any(map(ge, e, leads))}
+        canon, leads, terms = self.spec.canon, self.lead_degrees, dict(f.terms)
+        raw = {e: terms.pop(e) for e in f.terms if any(map(ge, e, leads))}
         for expo, v in self._sweep(raw).items():
-            if expo in terms:
-                v += pack(terms.pop(expo).terms)
-            t = _canonical(spec, unpack(v))
-            if t:
-                terms[expo] = CoeffElem(spec, t, _clean=True)
-        return TruncSeries(spec, self.variables, None, terms, _clean=True)
+            if c := canon(v + terms.pop(expo, 0)):
+                terms[expo] = c
+        return TruncSeries(self.spec, self.variables, None, terms, _clean=True)
 
     def _sweep(self, terms: dict) -> dict:
-        """The reduction sweep of the module docstring on raw ints, in place:
+        """The reduction sweep of the module docstring on stored ints, in place:
         c x^e with e_j = k >= d_j becomes c x^(e - d_j e_j) tail_j."""
-        canon = self._canon
+        canon = self.spec.canon
         for j in range(len(self.variables) - 1, -1, -1):
             d, tail = self.lead_degrees[j], self._tails[j]
             for k in range(max((expo[j] for expo in terms), default=0), d - 1, -1):
@@ -226,15 +220,15 @@ class FiniteAlgebra:
             raise ModeError("integer coordinates need coefficients without u "
                             f"({self.spec.precision_label(None)})")
         f = f.rename(self.variables, None)
-        red = self._sweep({expo: c.terms[0] for expo, c in f.terms.items()})
-        return [self._canon(red.get(b, 0)) for b in self.basis()]
+        red, canon = self._sweep(dict(f.terms)), self.spec.canon
+        return [canon(red.get(b, 0)) for b in self.basis()]
 
     def integer_matrix(self, f: TruncSeries) -> list[list[int]]:
         """Multiplication by f on ``basis()``, column a the coordinates of f x^a;
         rings without u only. The companion-matrix walk: in graded order f x^a
         is x_j times the reduced f x^(a - e_j), j the first index with a_j > 0,
-        so each column is one shift and one short sweep of the raw ints."""
-        basis, canon = self.basis(), self._canon
+        so each column is one shift and one short sweep of the stored ints."""
+        basis, canon = self.basis(), self.spec.canon
         columns = {basis[0]: dict(zip(basis, self.integer_coordinates(f)))}
         for a in basis[1:]:
             j = next(i for i, e in enumerate(a) if e)

@@ -8,29 +8,33 @@ identities computed here are exact images of identities over the untruncated
 ring. ``cap=None`` disables degree truncation and is used where elements are
 honest polynomials (finite algebras, delta-rings).
 
+Each term's coefficient is one int in the stored form of its ring
+(``CoeffRingSpec.pack``: the coefficient itself without u, the packed
+u-polynomial with u); ``CoeffElem`` is the scalar type only at the edges
+(the constructor, ``coefficient``, ``constant_term``, ``scale``). A sum,
+difference or negation of terms is ``spec.canon`` of a + b, a + bias - b or
+bias - a.
+
 The one product kernel sums A*B over pairs of term dicts (a product is one
-pair). It packs each coefficient's u-polynomial into one int, u^i in bits
-[i*w, (i+1)*w) (the order of ``CoeffElem.terms``), walks each right operand by
-total degree so the cap ends the walk, and adds every in-cap product into one
-int per output monomial, unpacked and reduced once (slots at u^D and up
-dropped). Over Z/p^N[u]/(u^D) a slot sums at most D*S products of coefficients
-below p^N, S the sum over the pairs of min(|A|, |B|), so w = 2*bitlen(p^N - 1)
-+ bitlen(D*S) keeps it below 2^w: no slot carries. Without u a coefficient is
-its integer (one slot), and sums, differences and the kernel's output are
-formed on those ints and reduced mod p^N once. ``subst`` groups the terms by
-their exponent i of the variable o with the most image terms (Paterson and
-Stockmeyer's baby and giant steps) into one sum of R_i * o^i, R_i = sum of
-c * (other images' powers) in group i; the table of image powers may be kept
-by the caller across calls, as ``DeltaRing`` does for its psi images.
+pair). It walks each right operand by total degree so the cap ends the
+walk, adds every in-cap product of stored ints into one int per output
+monomial, and applies ``spec.canon`` once to each. A slot then sums at most
+D*S products of coefficients below p^N, S the sum over the pairs of
+min(|A|, |B|), which ``spec.check_room`` bounds, so no slot carries.
+``subst`` groups the terms by their exponent i of the variable o with the
+most image terms (Paterson and Stockmeyer's baby and giant steps) into one
+sum of R_i * o^i, R_i = sum of c * (other images' powers) in group i; the
+table of image powers may be kept by the caller across calls, as
+``DeltaRing`` does for its psi images.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import inf
-from operator import add, itemgetter, lshift, mul
+from operator import add, itemgetter, mul
 
-from .coeffring import CoeffElem, CoeffRingSpec, _canonical
+from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import NonNilpotentArgument, SpecMismatch
 
 Expo = tuple[int, ...]
@@ -48,6 +52,8 @@ class TruncSeries:
         *,
         _clean: bool = False,
     ):
+        """``terms`` maps exponents to CoeffElem values; with ``_clean`` it is
+        kept as given, a dict of nonzero stored ints within the cap."""
         self.spec = spec
         self.variables = tuple(variables)
         self.cap = cap
@@ -56,14 +62,12 @@ class TruncSeries:
         elif _clean:
             self.terms = terms
         else:
-            clean: dict[Expo, CoeffElem] = {}
+            clean: dict[Expo, int] = {}
             for expo, c in terms.items():
                 if len(expo) != len(self.variables):
                     raise SpecMismatch(f"exponent {expo} has wrong arity")
-                if cap is not None and sum(expo) >= cap:
-                    continue
-                if not c.is_zero():
-                    clean[expo] = c
+                if (cap is None or sum(expo) < cap) and (v := spec.pack(c.terms)):
+                    clean[expo] = v
             self.terms = clean
 
     # -- constructors ----------------------------------------------------
@@ -74,10 +78,8 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, spec, variables, cap, value: CoeffElem) -> "TruncSeries":
-        zero_expo = (0,) * len(variables)
-        if value.is_zero():
-            return cls.zero(spec, variables, cap)
-        return cls(spec, variables, cap, {zero_expo: value}, _clean=True)
+        v = spec.pack(value.terms)
+        return cls(spec, variables, cap, {(0,) * len(variables): v} if v else {}, _clean=True)
 
     @classmethod
     def one(cls, spec, variables, cap) -> "TruncSeries":
@@ -87,7 +89,7 @@ class TruncSeries:
     def variable(cls, spec, variables, cap, name: str) -> "TruncSeries":
         i = tuple(variables).index(name)
         expo = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(spec, variables, cap, {expo: CoeffElem.one(spec)}, _clean=True)
+        return cls(spec, variables, cap, {expo: spec.pack((1,))}, _clean=True)
 
     # -- views -----------------------------------------------------------
 
@@ -104,17 +106,17 @@ class TruncSeries:
         return not self.terms
 
     def constant_term(self) -> CoeffElem:
-        expo = (0,) * len(self.variables)
-        return self.terms.get(expo, CoeffElem.zero(self.spec))
+        return self.coefficient((0,) * len(self.variables))
 
     def coefficient(self, expo: Expo) -> CoeffElem:
-        return self.terms.get(tuple(expo), CoeffElem.zero(self.spec))
+        spec = self.spec
+        return CoeffElem(spec, spec.unpack(self.terms.get(tuple(expo), 0)), _clean=True)
 
     def coefficient_of_degree(self, degree: int) -> CoeffElem:
         """Univariate only: the coefficient of x^degree."""
         if len(self.variables) != 1:
             raise SpecMismatch("coefficient_of_degree needs a univariate series")
-        return self.terms.get((degree,), CoeffElem.zero(self.spec))
+        return self.coefficient((degree,))
 
     def valuation(self) -> int | None:
         """Total degree of the lowest stored term (None for zero)."""
@@ -130,35 +132,26 @@ class TruncSeries:
         return self._combine(other, False)
 
     def __neg__(self) -> "TruncSeries":
+        canon, bias = self.spec.canon, self.spec.bias
         return TruncSeries(
             self.spec, self.variables, self.cap,
-            {e: -c for e, c in self.terms.items()}, _clean=True,
+            {e: canon(bias - c) for e, c in self.terms.items()}, _clean=True,
         )
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self._combine(other, True)
 
     def _combine(self, other: "TruncSeries", subtract: bool) -> "TruncSeries":
-        """self + other, or self - other: one coefficient operation per common term."""
+        """self + other, or self - other: one canon per common term."""
         self._compat(other)
         spec, terms = self.spec, dict(self.terms)
-        if spec.width == 1:  # one slot: add the ints, reduce once as the kernel does
-            m = spec.modulus
-            for expo, c in other.terms.items():
-                v = terms.get(expo)
-                s = (v.terms[0] if v else 0) + (-c.terms[0] if subtract else c.terms[0])
-                if s := s % m if m else s:
-                    terms[expo] = CoeffElem(spec, (s,), _clean=True)
-                else:
-                    del terms[expo]
-            return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
+        canon, bias = spec.canon, spec.bias
         for expo, c in other.terms.items():
-            v = terms.get(expo)
-            s = (-c if subtract else c) if v is None else (v - c if subtract else v + c)
-            if s.is_zero():
-                terms.pop(expo)
-            else:
+            v = terms.get(expo, 0)
+            if s := canon(v + bias - c if subtract else v + c):
                 terms[expo] = s
+            else:
+                del terms[expo]
         return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
@@ -166,12 +159,11 @@ class TruncSeries:
         return _sum_of_products([(self.terms, other.terms)], self.spec, self.variables, self.cap)
 
     def scale(self, value: CoeffElem) -> "TruncSeries":
-        terms = {}
+        spec, terms = self.spec, {}
         for expo, c in self.terms.items():
-            v = c * value
-            if not v.is_zero():
+            if v := spec.pack((CoeffElem(spec, spec.unpack(c), _clean=True) * value).terms):
                 terms[expo] = v
-        return TruncSeries(self.spec, self.variables, self.cap, terms, _clean=True)
+        return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
 
     # -- substitution -------------------------------------------------------
 
@@ -244,7 +236,7 @@ class TruncSeries:
         )
 
     def sorted_terms(self) -> list[tuple[Expo, CoeffElem]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [(e, self.coefficient(e)) for e in sorted(self.terms, key=lambda e: (sum(e), e))]
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -272,49 +264,24 @@ class TruncSeries:
         }
 
 
-_ONE_SLOT = itemgetter(0), lambda v: (v,)  # (pack, unpack) without u: the int is the coefficient
-
-
-def _packing(spec: CoeffRingSpec, products: int):
-    """(pack, unpack, canon): one int per coefficient, each u^i slot wide enough
-    for ``products`` products of canonical coefficients; unpack reads the slots
-    below u^D, canon makes a raw int canonical. Without u the int is the coefficient."""
-    m = spec.modulus
-    if spec.width == 1:
-        return *_ONE_SLOT, (lambda v: v) if m is None else lambda v: v % m
-    w = 2 * (m - 1).bit_length() + products.bit_length()
-    shifts, mask = range(0, w * spec.width, w), (1 << w) - 1
-    pack, unpack = (lambda t: sum(map(lshift, t, shifts))), \
-        (lambda v: [v >> s & mask for s in shifts])
-    return pack, unpack, lambda v: pack(_canonical(spec, unpack(v)))
-
-
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    one_slot = spec.width == 1
-    pack, unpack = _ONE_SLOT if one_slot else \
-        _packing(spec, spec.width * sum(min(len(a), len(b)) for a, b in pairs))[:2]
     limit = inf if cap is None else cap
     acc: dict[Expo, int] = {}
+    products = 0  # S, the sum of min(|A|, |B|)
     for left, right in pairs:
-        right = [(sum(e), e, pack(c.terms)) for e, c in right.items()]
+        products += min(len(left), len(right))
+        right = [(sum(e), e, c) for e, c in right.items()]
         if cap is not None:  # by degree, so that the cap ends the walk
             right.sort(key=itemgetter(0))
         for e1, c1 in left.items():
-            c1, room = pack(c1.terms), limit - sum(e1)
+            room = limit - sum(e1)
             for d2, e2, c2 in right:
                 if d2 >= room:
                     break
                 key = tuple(map(add, e1, e2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-    terms = {}
-    if one_slot:  # the int is the coefficient, canonical mod p^N as in _packing
-        m = spec.modulus
-        for key, v in acc.items():
-            if v := v % m if m else v:
-                terms[key] = CoeffElem(spec, (v,), _clean=True)
-    else:
-        for key, v in acc.items():
-            if t := _canonical(spec, unpack(v)):
-                terms[key] = CoeffElem(spec, t, _clean=True)
+    spec.check_room(products)  # before canon reads the slots
+    canon = spec.canon
+    terms = {key: c for key, v in acc.items() if (c := canon(v))}
     return TruncSeries(spec, variables, cap, terms, _clean=True)

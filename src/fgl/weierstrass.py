@@ -64,7 +64,7 @@ def _split(f: TruncSeries, d: int) -> tuple[TruncSeries, TruncSeries]:
 
 def degree_of_first_unit(f: TruncSeries, cap: int) -> int:
     """Smallest k whose x^k coefficient, the (0,..,0,k) term, is a unit."""
-    units = [e[-1] for e, c in f.terms.items() if not any(e[:-1]) and c.is_unit()]
+    units = [e[-1] for e in f.terms if not any(e[:-1]) and f.coefficient(e).is_unit()]
     if not units:
         raise NoUnitCoefficient(
             f"no unit coefficient below degree {cap}; height undefined at this precision"
@@ -106,11 +106,10 @@ def prepare(f: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries, int]:
     """
     d = degree_of_first_unit(f, ring.lead_degrees[-1])
     x_d = TruncSeries(ring.spec, ring.variables, None,
-                      {(0,) * (len(ring.variables) - 1) + (d,): CoeffElem.one(ring.spec)},
-                      _clean=True)
+                      {(0,) * (len(ring.variables) - 1) + (d,): CoeffElem.one(ring.spec)})
     q, r = divide(x_d, f, ring)
     dist = x_d - r
-    if any(not any(e[:-1]) and e[-1] < d and c.is_unit() for e, c in dist.terms.items()):
+    if any(not any(e[:-1]) and e[-1] < d and dist.coefficient(e).is_unit() for e in dist.terms):
         raise InternalInconsistency(
             f"weierstrass.prepare: prepared factor is not distinguished "
             f"({ring.spec.precision_label(ring.lead_degrees[-1])})"

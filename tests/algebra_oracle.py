@@ -4,13 +4,13 @@ The rescanning loop: in each variable, from the highest down, it picks a
 term of highest degree at or above the lead degree, subtracts the matching
 multiple of the whole relation, and scans every term again. It relies on
 nothing but the monic lead term, and it multiplies and adds ``CoeffElem``
-values, so the one top-down sweep of raw integers in
+values read with ``sorted_terms``, so the one top-down sweep of stored ints in
 ``FiniteAlgebra.reduce``, which relies on the triangular shape its
 constructor checks, is compared against it.
 
 The ``CoeffElem`` companion-matrix walk: each column f x^a is x_j times the
 reduced column f x^(a - e_j), passed through ``FiniteAlgebra.reduce``. The
-integer walk ``FiniteAlgebra.integer_matrix``, which sweeps raw integers, is
+integer walk ``FiniteAlgebra.integer_matrix``, which sweeps stored ints, is
 compared against it.
 """
 
@@ -24,15 +24,15 @@ def reduce(self, f: TruncSeries) -> TruncSeries:
     """``self`` is a FiniteAlgebra; the representative on its monomial basis."""
     if f.variables != self.variables:
         f = f.rename(self.variables, cap=None)
-    terms = dict(f.terms)
+    terms = dict(f.sorted_terms())
     for j in range(len(self.variables) - 1, -1, -1):
         terms = _reduce_in_var(self, terms, j)
-    return TruncSeries(self.spec, self.variables, None, terms, _clean=True)
+    return TruncSeries(self.spec, self.variables, None, terms)
 
 
 def _reduce_in_var(self, terms: dict, j: int) -> dict:
     d = self.lead_degrees[j]
-    rel = self.relations[j].terms
+    rel = dict(self.relations[j].sorted_terms())
     while True:
         cand = None
         for expo in terms:
@@ -70,7 +70,6 @@ def multiplication_columns(self, f: TruncSeries) -> list[list[CoeffElem]]:
     for a in basis[1:]:
         j = next(i for i, e in enumerate(a) if e)
         prev = products[a[:j] + (a[j] - 1,) + a[j + 1:]]
-        shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in prev.terms.items()}
-        products[a] = self.reduce(
-            TruncSeries(self.spec, self.variables, None, shifted, _clean=True))
+        shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in prev.sorted_terms()}
+        products[a] = self.reduce(TruncSeries(self.spec, self.variables, None, shifted))
     return [[products[a].coefficient(b) for b in basis] for a in basis]

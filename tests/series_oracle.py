@@ -2,13 +2,16 @@
 
 The pairwise product: every pair of terms whose total degree is below the
 cap is multiplied with ``CoeffElem.__mul__`` and added into the output with
-``CoeffElem.__add__``. It shares no packing with ``TruncSeries.__mul__``,
-so the packed kernel there is checked against it term for term.
+``CoeffElem.__add__``. It reads the coefficients as ``CoeffElem`` values
+(``sorted_terms``) and shares no stored-int arithmetic with
+``TruncSeries.__mul__``, so the kernel there is checked against it term
+for term.
 
 The term-wise substitution: each source term multiplies the cached powers
 of its images, is scaled by its coefficient and added into one dict. Its
 products are the pairwise ones above, so it shares no packing with the
-grouped ``TruncSeries.subst`` either.
+grouped ``TruncSeries.subst`` either. Both build their result with the
+public constructor, which drops the zero coefficients.
 """
 
 from __future__ import annotations
@@ -24,22 +27,16 @@ def mul(self: TruncSeries, other: TruncSeries) -> TruncSeries:
     self._compat(other)
     cap = self.cap
     acc: dict[Expo, CoeffElem] = {}
-    for e1, c1 in self.terms.items():
+    right = other.sorted_terms()
+    for e1, c1 in self.sorted_terms():
         d1 = sum(e1)
-        for e2, c2 in other.terms.items():
+        for e2, c2 in right:
             if cap is not None and d1 + sum(e2) >= cap:
                 continue
             expo = tuple(a + b for a, b in zip(e1, e2))
             prod = c1 * c2
-            if prod.is_zero():
-                continue
-            v = acc.get(expo)
-            s = prod if v is None else v + prod
-            if s.is_zero():
-                acc.pop(expo, None)
-            else:
-                acc[expo] = s
-    return TruncSeries(self.spec, self.variables, self.cap, acc, _clean=True)
+            acc[expo] = acc[expo] + prod if expo in acc else prod
+    return TruncSeries(self.spec, self.variables, self.cap, acc)  # drops the zeros
 
 
 def subst(self: TruncSeries, images: dict[str, TruncSeries]) -> TruncSeries:
@@ -58,8 +55,8 @@ def subst(self: TruncSeries, images: dict[str, TruncSeries]) -> TruncSeries:
 
     # each term's coefficients go straight into one dict: no copy per term
     acc: dict[Expo, CoeffElem] = {}
-    for expo, c in sorted(self.terms.items()):
+    for expo, c in self.sorted_terms():
         factors = [power(name, k) for name, k in zip(self.variables, expo) if k]
-        for e, v in (reduce(mul, factors) if factors else one).scale(c).terms.items():
+        for e, v in (reduce(mul, factors) if factors else one).scale(c).sorted_terms():
             acc[e] = acc[e] + v if e in acc else v
     return TruncSeries(model.spec, model.variables, model.cap, acc)  # drops the zeros

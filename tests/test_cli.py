@@ -3,6 +3,8 @@ import json
 import os
 import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -456,3 +458,19 @@ def test_height_is_refused_on_laws_that_ignore_it(capsys, law):
 def test_trunc_zero_still_means_the_default():
     job = {"command": "series", "law": "multiplicative", "p": 2, "m": 8}
     assert run_job({**job, "trunc": 0})["digest"] == run_job(job)["digest"]
+
+
+UNSUPPORTED = [("t^2 // 1", "unsupported operator //"), ("t^2 % 3", "unsupported operator %"),
+               ("+t^2", "unsupported operator unary +"), ("f(t)", "unsupported syntax 'f(t)'")]
+
+
+@pytest.mark.parametrize("image, message", UNSUPPORTED, ids=[i for i, _ in UNSUPPORTED])
+def test_unsupported_syntax_errors_are_the_same_in_every_process(image, message):
+    # no object address or ast dump: two processes print the same line
+    argv = [sys.executable, "-m", "fgl.cli", "delta-check", "--ring", f"Z[t]; psi t -> {image}; p 2"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = [subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            for _ in range(2)]
+    assert [(r.returncode, r.stdout) for r in runs] == [(1, "")] * 2
+    assert runs[0].stderr == runs[1].stderr == \
+        f"fgl delta-check: clause 'psi t -> {image}': {message}\n"

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import ModeError, NotAUnit, NotDivisible, SpecMismatch
+from fgl.errors import NotAUnit, SpecMismatch
 
 Z2_4 = CoeffRingSpec(p=2, p_precision=4)
 Z3_2_U = CoeffRingSpec(p=3, p_precision=2, deformation_params=1, u_degree_cap=2)
@@ -99,13 +100,10 @@ def test_invert_random_units():
             assert a.invert() * a == one
 
 
-def test_exact_divide_by_p():
-    assert CoeffElem.zero(ZEXACT2).exact_divide_by_p() == CoeffElem.zero(ZEXACT2)
-    assert C(ZEXACT2, 6).exact_divide_by_p() == C(ZEXACT2, 3)
-    with pytest.raises(NotDivisible):
-        C(ZEXACT3, 4).exact_divide_by_p()
-    with pytest.raises(ModeError):
-        C(Z2_4, 4).exact_divide_by_p()
+def test_specs_pickle_by_value():
+    for spec in (Z2_4, Z3_2_U, ZEXACT2):
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.pack((1, 2)[:spec.width]) == spec.pack((1, 2)[:spec.width])
 
 
 def test_spec_mismatch_raises():

@@ -16,7 +16,7 @@ from fgl.deltaring import (
     parse_delta_ring,
     sheaf_eval,
 )
-from fgl.errors import NotAFrobeniusLift
+from fgl.errors import NotAFrobeniusLift, NotDivisible
 from fgl.series import TruncSeries
 
 F2 = CoeffRingSpec(p=2, p_precision=1)
@@ -55,6 +55,26 @@ def test_frobenius_lift_validation():
     one = TruncSeries.one(spec, ("t",), None)
     with pytest.raises(NotAFrobeniusLift):
         DeltaRing(("t",), {"t": t + one}, 2)  # t + 1 != t^2 mod 2
+
+
+def test_delta_of_a_non_lift_is_not_divisible():
+    ring = make_zt(3)
+    t = ring.var("t")
+    assert ring.delta(ring.constant(6)) == ring.constant(-70)  # (6 - 216) / 3
+    ring.psi_images = {"t": t * t}  # t^2 is not t^3 mod 3; the constructor refuses it
+    with pytest.raises(NotDivisible, match="is not divisible by 3"):
+        ring.delta(t)  # (t^2 - t^3) / 3
+    assert ring.check_axioms([(t, t)])["failures"] == ["pair 0: frobenius lift"]
+
+
+def test_the_dividing_rules_refuse_an_inexact_division():
+    # psi(a b) one off a lift, with a and b lifts: the product rule's division is not exact
+    ring = make_zt(2)
+    a, b = ring.var("t"), ring.var("t") + ring.constant(1)
+    psi, ab = ring.psi, a * b
+    ring.psi = lambda x: psi(x) + ring.constant(1) if x == ab else psi(x)
+    with pytest.raises(NotDivisible, match="not divisible by 2"):
+        ring.check_axioms([(a, b)])
 
 
 def test_sum_rule_at_one_one():

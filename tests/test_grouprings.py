@@ -56,7 +56,7 @@ def shifted_cyclotomic(order: int) -> dict[int, int]:
 
 
 def series_terms(s: TruncSeries) -> dict[int, int]:
-    return {expo[0]: c.constant_part() for expo, c in s.terms.items()}
+    return {expo[0]: c.constant_part() for expo, c in s.sorted_terms()}
 
 
 def test_abelian_p_type_validation():

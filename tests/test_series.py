@@ -9,11 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algebra_oracle
 import series_oracle
 from fgl import series
 from fgl.cli import run_job
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import NonNilpotentArgument
+from fgl.errors import InternalInconsistency, NonNilpotentArgument
 from fgl.grouprings import FiniteAlgebra
 from fgl.series import TruncSeries
 
@@ -120,7 +121,7 @@ def test_mul_against_oracle_and_sympy(ring, data):
     got = a * b
     assert got == series_oracle.mul(a, b)
     expected = sympy_terms(spec, nvars, cap, to_sympy(nvars, ra) * to_sympy(nvars, rb))
-    assert {e: c.terms for e, c in got.terms.items()} == expected
+    assert {e: c.terms for e, c in got.sorted_terms()} == expected
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -146,7 +147,8 @@ def test_rename_matches_substitution_of_variables(ring, data):
 @pytest.mark.parametrize("spec", SPECS[1:], ids=["p2N5", "p3N3D3", "p2N8D6"])
 @pytest.mark.parametrize("nvars, cap", [(1, 24), (2, 9), (3, 6), (2, None)])
 def test_mul_slot_width_worst_case(spec, nvars, cap):
-    # dense operands with every coefficient p^N - 1: the largest slot sums
+    # dense operands with every coefficient p^N - 1 multiplied at the fixed
+    # slot width 2 bitlen(p^N - 1) + 32: the largest slot sums
     top = [spec.modulus - 1] * spec.width
     degree = cap - 1 if cap else 5
     expos = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
@@ -191,7 +193,8 @@ TOP_SPECS = (CoeffRingSpec(p=2, p_precision=8, deformation_params=1, u_degree_ca
 @pytest.mark.parametrize("spec", TOP_SPECS, ids=["p2N8D6", "p3N3D7"])
 def test_sum_of_products_slot_width_worst_case(spec):
     # every coefficient p^N - 1 at every u-degree, and pairs that each add
-    # min(|A|, |B|) products into x^7: its slot u^(D-1) sums D*S products, the bound
+    # min(|A|, |B|) products into x^7: its slot u^(D-1) sums D*S products of
+    # (p^N - 1)^2, all at the fixed slot width
     top = [spec.modulus - 1] * spec.width
     dense = raw_series(spec, 1, 8, {(j,): top for j in range(8)})
     single = raw_series(spec, 1, 8, {(0,): top})
@@ -203,6 +206,29 @@ def test_sum_of_products_slot_width_worst_case(spec):
     f = raw_series(spec, 2, 8, {e: top for e in expos})
     images = {v: raw_series(spec, 2, 8, {e: top for e in expos if sum(e)}) for v in NAMES[:2]}
     assert f.subst(images) == series_oracle.subst(f, images)
+
+
+def test_the_kernel_and_the_sweep_check_their_slot_room(monkeypatch):
+    # the kernel asks for the sum of min(|A|, |B|), the sweep for 1 + sum |tail_j|
+    spec, asked = TOP_SPECS[0], []
+    monkeypatch.setattr(CoeffRingSpec, "check_room", lambda self, products: asked.append(products))
+    top = [spec.modulus - 1] * spec.width
+    dense = raw_series(spec, 1, 8, {(j,): top for j in range(8)})
+    single = raw_series(spec, 1, 8, {(0,): top})
+    series._sum_of_products([(single.terms, dense.terms), (dense.terms, dense.terms)],
+                            spec, ("x",), 8)
+    stage_ring(spec, 4)
+    assert asked == [1 + 8, 1 + 2 + 0]  # x^3 + (p + u) x + p and y^4
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["Z", "p2N5", "p3N3D3", "p2N8D6"])
+def test_slot_room_overflow_names_the_precision(spec):
+    # called with the least S that has D*S >= 2^32; no such series is built
+    least = -(-(1 << 32) // spec.width)
+    spec.check_room(least - 1)
+    with pytest.raises(InternalInconsistency) as err:
+        spec.check_room(least)
+    assert f"p={spec.p}, N={spec.p_precision}, D={spec.u_degree_cap}" in str(err.value)
 
 
 def test_subst_refuses_a_constant_term_under_a_cap():
@@ -222,9 +248,8 @@ def test_subst_refuses_a_constant_term_under_a_cap():
 
 def termwise(a: TruncSeries, b: TruncSeries, op) -> TruncSeries:
     """a op b by one CoeffElem operation per monomial of either side (zeros dropped)."""
-    zero = CoeffElem.zero(a.spec)
     return TruncSeries(a.spec, a.variables, a.cap,
-                       {e: op(a.terms.get(e, zero), b.terms.get(e, zero)) for e in a.terms | b.terms})
+                       {e: op(a.coefficient(e), b.coefficient(e)) for e in a.terms | b.terms})
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -238,7 +263,7 @@ def test_series_ring_axioms(ring, data):
     assert a * (b + c) == a * b + a * c
     assert (a - b) + b == a and a - a == TruncSeries.zero(spec, a.variables, cap)
     assert a - b == a + (-b)
-    # one-slot sums and differences on ints against CoeffElem arithmetic
+    # sums and differences of stored ints against CoeffElem arithmetic
     assert a + b == termwise(a, b, add) and a - b == termwise(a, b, sub)
 
 
@@ -262,6 +287,36 @@ def test_stage_ring_mul_axioms(spec, data):
     assert ring.mul(ring.one(), a) == a
 
 
+def stored(f: TruncSeries) -> TruncSeries:
+    """f, after checking that every stored value is a nonzero int in the stored form."""
+    pack, unpack = f.spec.pack, f.spec.unpack
+    assert all(type(v) is int and v and pack(unpack(v)) == v for v in f.terms.values())
+    return f
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rings(), st.data())
+def test_stored_int_arithmetic_matches_the_oracles(ring, data):
+    # sums, differences and negation by canon(a + b), canon(a + bias - b) and
+    # canon(bias - a); products, scale, subst and reduce on stored ints
+    spec, nvars, cap = ring
+    a, b = (stored(raw_series(spec, nvars, cap, data.draw(raw_terms(spec, nvars))))
+            for _ in range(2))
+    zero = TruncSeries.zero(spec, a.variables, cap)
+    assert stored(a + b) == termwise(a, b, add)
+    assert stored(a - b) == termwise(a, b, sub) and stored(b - a) == termwise(b, a, sub)
+    assert stored(-a) == termwise(zero, a, sub)
+    assert stored(a * b) == series_oracle.mul(a, b)
+    c = CoeffElem(spec, data.draw(raw_terms(spec, 1, 1, 1)).popitem()[1])
+    assert stored(a.scale(c)) == TruncSeries(spec, a.variables, cap,
+                                             {e: x * c for e, x in a.sorted_terms()})
+    images = {v: raw_series(spec, nvars, cap, data.draw(image_terms(spec, nvars, cap, "dense", 3)))
+              for v in a.variables}
+    assert stored(a.subst(images)) == series_oracle.subst(a, images)
+    algebra, f = stage_ring(spec, 4), raw_series(spec, 2, None, data.draw(raw_terms(spec, 2, 8)))
+    assert stored(algebra.reduce(f)) == algebra_oracle.reduce(algebra, f)
+
+
 # -- every product of two suite jobs against the oracle -----------------------
 
 SUITE = pathlib.Path(__file__).resolve().parent.parent / "suite"
@@ -282,7 +337,8 @@ def test_suite_job_products_match_oracle(job, monkeypatch):
         expected = TruncSeries.zero(spec, variables, cap)
         for a, b in pairs:
             expected = expected + series_oracle.mul(
-                TruncSeries(spec, variables, cap, a), TruncSeries(spec, variables, cap, b))
+                TruncSeries(spec, variables, cap, a, _clean=True),
+                TruncSeries(spec, variables, cap, b, _clean=True))
         assert got == expected
         products.extend(pairs)
         sums.append(got)

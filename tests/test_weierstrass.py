@@ -270,4 +270,4 @@ def test_prepare_with_algebra_coefficients():
     assert d == 2
     assert ring.mul(unit, dist) == g
     # monic of degree d in x2 over the stage-1 quotient
-    assert {e: c for e, c in dist.terms.items() if e[-1] >= d} == {(0, d): CoeffElem.one(LT2_SMALL)}
+    assert {e: c for e, c in dist.sorted_terms() if e[-1] >= d} == {(0, d): CoeffElem.one(LT2_SMALL)}

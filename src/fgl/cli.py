@@ -50,6 +50,7 @@ from .weierstrass import weierstrass_prepare
 
 LAWS = ("multiplicative", "additive", "honda", "lubinTate2")
 _SHARED_LAWS = contextvars.ContextVar("shared_laws")  # set only while run_suite runs its jobs
+_ring = functools.cache(CoeffRingSpec)  # one spec, with its stored-form closures, per ring
 
 
 def canonical_json(data) -> str:
@@ -90,11 +91,11 @@ def _spec(job: dict) -> CoeffRingSpec:
         raise ValueError(f"--height applies only to the honda law, not to {name}")
     p = int(job["p"])
     if name in ("multiplicative", "additive"):
-        return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", None))
+        return _ring(p=p, p_precision=_positive(job, "pprec", None))
     if name == "honda":
-        return CoeffRingSpec(p=p, p_precision=1)
-    return CoeffRingSpec(p=p, p_precision=_positive(job, "pprec", 8), deformation_params=1,
-                         u_degree_cap=_positive(job, "udeg", 6))  # lubinTate2
+        return _ring(p=p, p_precision=1)
+    return _ring(p=p, p_precision=_positive(job, "pprec", 8), deformation_params=1,
+                 u_degree_cap=_positive(job, "udeg", 6))  # lubinTate2
 
 
 def _build_law(job: dict) -> FormalGroupLaw:

@@ -43,6 +43,10 @@ ACM TOMS 35, 2008).
   slot that started below l, so every slot stays below
   l + m * (l-1)^2 < m * l^2 < 2^(w-1) and no slot carries. (bitlen(m * l^2)
   bits would do; the extra one keeps w positive for an empty matrix.)
+
+``gcd_degree_mod_l`` is the degree of gcd(a, b) over F_l by Euclid. When b
+is monic in Z[x], so is the monic gcd over Q, and it divides both reductions
+mod l: the degree mod l is at least the degree over Q.
 """
 
 from __future__ import annotations
@@ -137,6 +141,21 @@ def rank(matrix: Matrix) -> int:
     if _rank_mod_l(matrix) == full:
         return full
     return len(rref(matrix)[1])
+
+
+def gcd_degree_mod_l(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over F_l (-1 when both are zero), each polynomial
+    given by its coefficients from the constant term up."""
+    a, b = [x % _L for x in a], [x % _L for x in b]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv, k, tail = pow(b[-1], -1, _L), len(b) - 1, b[:-1]
+        while len(a) > k:  # a mod b: cancel the leading coefficient of a
+            c, s = a.pop() * inv % _L, len(a) - k
+            a[s:] = [(x - c * y) % _L for x, y in zip(a[s:], tail)]
+        a, b = b, a
+    return max((i for i, x in enumerate(a) if x), default=-1)
 
 
 def nullspace(matrix: Matrix) -> Matrix:

@@ -16,9 +16,10 @@ difference or negation of terms is ``spec.canon`` of a + b, a + bias - b or
 bias - a.
 
 The one product kernel sums A*B over pairs of term dicts (a product is one
-pair). It walks each right operand by total degree so the cap ends the
-walk, adds every in-cap product of stored ints into one int per output
-monomial, and applies ``spec.canon`` once to each. A slot then sums at most
+pair). Under a cap it walks each right operand by total degree so the cap
+ends the walk (without one it reads no degree); it adds every in-cap
+product of stored ints into one int per output monomial, and applies
+``spec.canon`` once to each. A slot then sums at most
 D*S products of coefficients below p^N, S the sum over the pairs of
 min(|A|, |B|), which ``spec.check_room`` bounds, so no slot carries.
 ``subst`` groups the terms by their exponent i of the variable o with the
@@ -31,7 +32,7 @@ table of image powers may be kept by the caller across calls, as
 from __future__ import annotations
 
 from functools import reduce
-from math import inf
+from itertools import product
 from operator import add, itemgetter, mul
 
 from .coeffring import CoeffElem, CoeffRingSpec
@@ -266,16 +267,18 @@ class TruncSeries:
 
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    limit = inf if cap is None else cap
     acc: dict[Expo, int] = {}
     products = 0  # S, the sum of min(|A|, |B|)
     for left, right in pairs:
         products += min(len(left), len(right))
-        right = [(sum(e), e, c) for e, c in right.items()]
-        if cap is not None:  # by degree, so that the cap ends the walk
-            right.sort(key=itemgetter(0))
+        if cap is None:  # nothing ends the walk, so no degree is needed
+            for (e1, c1), (e2, c2) in product(left.items(), right.items()):
+                key = tuple(map(add, e1, e2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+            continue
+        right = sorted(((sum(e), e, c) for e, c in right.items()), key=itemgetter(0))
         for e1, c1 in left.items():
-            room = limit - sum(e1)
+            room = cap - sum(e1)
             for d2, e2, c2 in right:
                 if d2 >= room:
                     break

@@ -18,23 +18,27 @@ commutative, so every multiplication commutes with P and keeps both
 summands. Hence A_Q[1/e] = A_Q / ker(e^oo) = A_Q / ker P, and v -> P v
 identifies it with im P as an A-module. Let B be the q = n - dim ker P
 columns of P at its pivot columns; they are a basis of im P. Three rules
-follow, each a rank or a zero test on integers:
+follow, each a rank, gcd or zero test on integers:
 
 - a relation r dies in the localization iff P r = 0;
 - an element f acts on the quotient with rank rank(M_f B), an n x q
-  matrix, so f is invertible there iff that rank is q;
+  matrix, so f is invertible there iff that rank is q. On a cyclic ambient
+  Z[x]/(G), G monic of degree n, M_f B spans the image of multiplication by
+  h = f e^k, whose coordinates are P f, so that rank is n - deg gcd(h, G);
 - the x -> x level map is bijective iff the level rank is q and the
   P-columns of the level basis monomials have rank q.
 
-Both rank tests ask for full rank, which ``linalg.rank`` certifies by one
-elimination modulo the prime 2^61 - 1.
+The rank tests ask for full rank, which ``linalg.rank`` certifies by one
+elimination modulo the prime l = 2^61 - 1. A gcd degree mod l is never
+below the one over Q, so deg gcd = n - q mod l proves rank q; any other
+degree falls back to the exact rank of M_f B.
 
 This is only honest over exact (integer) coefficients: inverting a
 p-adically small element at finite p-precision is ill-posed, so truncated
-rings are refused. Every multiplication matrix is the companion-matrix walk
-``FiniteAlgebra.integer_matrix``, and the level relations' coordinates come
-from ``FiniteAlgebra.integer_coordinates``: both sweep the same raw integers
-as ``FiniteAlgebra.reduce``.
+rings are refused. M and every fallback's M_f are the companion-matrix walk
+``FiniteAlgebra.integer_matrix``, and the coordinates of the level relations
+and of the Euler factors come from ``FiniteAlgebra.integer_coordinates``:
+both sweep the same raw integers as ``FiniteAlgebra.reduce``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .grouprings import (
     level_ring,
 )
 from .laws import FormalGroupLaw
-from .linalg import Matrix, mat_mul, nullspace, rank
+from .linalg import Matrix, gcd_degree_mod_l, mat_mul, nullspace, rank
 from .series import TruncSeries
 
 
@@ -186,6 +190,7 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
 class FactorReport:
     factors_checked: int
     invertible: list[bool]
+    fallbacks: int = 0  # factors whose gcd mod l left the answer to the exact rank
 
     @property
     def all_invertible(self) -> bool:
@@ -198,14 +203,24 @@ def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> Fac
     ``loc`` is the localization of ``euler.ambient`` at ``euler.product``,
     as ``localization_kernel`` (or ``level_to_tate_map``) built it. This is
     the finite-rank shadow of 'inverting the product inverts each factor':
-    on ambient/(eventual kernel) every factor's multiplication matrix M_f B
-    must have full rank q.
+    on ambient/(eventual kernel) every factor's M_f B must have full rank q.
+    One product P [f_1 ... f_r] gives every h_i = f_i e^k, and each factor
+    is certified by deg gcd(h_i, G) = n - q over F_l (module docstring); any
+    other degree falls back to the exact rank of M_f B. Cyclic groups only.
     """
-    results = []
-    for factor in euler.factors:
-        m = loc.multiplication_matrix(factor)
-        results.append(rank(m) == loc.quotient_rank)
-    return FactorReport(factors_checked=len(euler.factors), invertible=results)
+    ambient, q = loc.ambient, loc.quotient_rank
+    if len(ambient.variables) != 1:
+        raise UnsupportedGroupType("the factor check handles cyclic groups")
+    n, relation = ambient.rank, ambient.relations[0].terms
+    g = [relation.get((i,), 0) for i in range(n + 1)]  # basis() is 1, x, ..., x^(n-1)
+    coords = [ambient.integer_coordinates(f) for f in euler.factors]
+    products = zip(*mat_mul(loc.image, list(zip(*coords))))
+    results, fallbacks = [], 0
+    for factor, h in zip(euler.factors, products):
+        certified = gcd_degree_mod_l(h, g) == n - q
+        fallbacks += not certified
+        results.append(certified or rank(loc.multiplication_matrix(factor)) == q)
+    return FactorReport(len(euler.factors), results, fallbacks)
 
 
 def euler_image_in_level(euler: EulerClassData, level: FiniteAlgebra) -> TruncSeries:

@@ -455,6 +455,18 @@ def test_height_is_refused_on_laws_that_ignore_it(capsys, law):
     assert run_job(honda)["outputs"]["passed"]
 
 
+def test_each_distinct_ring_is_one_spec(tmp_path):
+    # one CoeffRingSpec per distinct ring and process, cached replays included
+    config = WORKLOADS / "height2_modular.json"
+    jobs = [job for job in json.loads(config.read_text()) if "law" in job]
+    fgl.cli._ring.cache_clear()
+    rings = {fgl.cli._spec(job) for job in jobs}
+    assert all(fgl.cli._spec(job) is fgl.cli._spec(dict(job)) for job in jobs)
+    for _ in range(2):  # cold, then with every record cached
+        assert run_suite(str(config), cache=str(tmp_path / "cache"), out=io.StringIO()) == 0
+    assert fgl.cli._ring.cache_info().misses == len(rings) > 1
+
+
 def test_trunc_zero_still_means_the_default():
     job = {"command": "series", "law": "multiplicative", "p": 2, "m": 8}
     assert run_job({**job, "trunc": 0})["digest"] == run_job(job)["digest"]

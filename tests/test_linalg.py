@@ -3,13 +3,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgl.linalg
 import linalg_oracle
 from fgl.errors import InternalInconsistency
-from fgl.linalg import _rank_mod_l, mat_mul, nullspace, rank, rref
+from fgl.linalg import _rank_mod_l, gcd_degree_mod_l, mat_mul, nullspace, rank, rref
 
 ELL = linalg_oracle.ELL  # the prime of the rank certificate
 
@@ -216,3 +217,36 @@ def test_ragged_matrix_is_an_internal_inconsistency(entry, m):
 def test_mat_mul_inner_dimension_mismatch_is_an_internal_inconsistency(a, b, message):
     with pytest.raises(InternalInconsistency, match=r"mat_mul: shapes do not fit, row lengths " + message):
         mat_mul(a, b)
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# low-to-high coefficient lists, possibly with zero leading entries
+POLYS = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(common=POLYS, s=POLYS, t=POLYS)
+@example(common=[0], s=[1], t=[1])        # gcd(0, 0)
+@example(common=[1], s=[0], t=[3, 1])     # gcd(0, b) = b
+@example(common=[1], s=[ELL, 1], t=[0, 1])  # x + l = x mod l
+def test_gcd_degree_mod_l_matches_sympy(common, s, t):
+    # oracle: sympy's gcd over GF(l); over Q the degree can only be lower
+    a, b = _poly_product(common, s), _poly_product(common, t)
+    x = sympy.Symbol("x")
+
+    def poly(c, **domain):
+        return sympy.Poly(list(reversed(c)), x, **domain)
+
+    mod_l = poly(a, modulus=ELL).gcd(poly(b, modulus=ELL))
+    over_q = poly(a, domain="QQ").gcd(poly(b, domain="QQ"))
+    degree = gcd_degree_mod_l(a, b)
+    assert degree == (-1 if mod_l.is_zero else mod_l.degree())
+    assert degree >= (-1 if over_q.is_zero else over_q.degree())
+    assert gcd_degree_mod_l(b, a) == degree

@@ -192,18 +192,86 @@ def test_euler_class_height2_structural():
 
 
 def test_factor_invertibility_check_makes_no_algebra_products(monkeypatch):
-    # the factor matrices come from the companion-matrix walk, not from one
-    # FiniteAlgebra.mul per basis monomial
+    # every factor is certified by one gcd mod l of its column of P [f_1 ... f_r]:
+    # no FiniteAlgebra.mul per basis monomial and no factor matrix at all
     law = law_for(ZX3, 3, 2)
     ec = euler_class(law, AbelianPType((2,)))
     loc = localization_kernel(ec.ambient, ec.product)
     calls = []
-    mul = fgl.grouprings.FiniteAlgebra.mul
+    mul, walk = fgl.grouprings.FiniteAlgebra.mul, fgl.grouprings.FiniteAlgebra.integer_matrix
     monkeypatch.setattr(fgl.grouprings.FiniteAlgebra, "mul",
-                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+                        lambda self, a, b: calls.append("mul") or mul(self, a, b))
+    monkeypatch.setattr(fgl.grouprings.FiniteAlgebra, "integer_matrix",
+                        lambda self, f: calls.append("integer_matrix") or walk(self, f))
     report = factor_invertibility_check(ec, loc)
-    assert report.all_invertible and report.factors_checked == 8
+    assert report.all_invertible and report.factors_checked == 8 and report.fallbacks == 0
     assert calls == []
+
+
+CYCLIC_UP_TO_27 = [(CoeffRingSpec(p=p, p_precision=None), p, m)
+                   for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                   for m in range(1, 5) if p ** m <= 27]
+
+
+@pytest.mark.parametrize("spec, p, m", CYCLIC_UP_TO_27,
+                         ids=[f"{p}^{m}" for _, p, m in CYCLIC_UP_TO_27])
+def test_factor_certificate_matches_exact_rank(spec, p, m):
+    # oracle: the exact rank of each factor's n x q matrix M_f B
+    law = law_for(spec, p, m)
+    ec = euler_class(law, AbelianPType((m,)))
+    loc = localization_kernel(ec.ambient, ec.product)
+    report = factor_invertibility_check(ec, loc)
+    exact = [rank(loc.multiplication_matrix(f)) == loc.quotient_rank for f in ec.factors]
+    assert report.invertible == exact == [True] * (p ** m - 1)
+    assert report.fallbacks == 0
+
+
+@pytest.mark.parametrize("spec, p", [(ZX2, 2), (ZX3, 3)])
+def test_planted_non_unit_is_refused_through_the_fallback(spec, p):
+    # localized at x, [p](x) on the C_{p^2} ring acts with rank q - (p - 1)
+    # (test_fitting_rule_matches_sympy_quotient), so its gcd degree is not
+    # n - q and only the exact rank can answer, with False
+    law = law_for(spec, p, 2)
+    alg = group_cohomology_ring(law, AbelianPType((2,)))
+    x1 = TruncSeries.variable(law.spec, alg.variables, law.cap, "x1")
+    p_series = alg.reduce(law.n_series(p).series.subst({"x": x1}))
+    loc = localization_kernel(alg, alg.var(0))
+    euler = fgl.tate.EulerClassData(ambient=alg, factors=[p_series, alg.one()],
+                                    product=alg.var(0))
+    report = factor_invertibility_check(euler, loc)
+    assert report.invertible == [False, True] and report.fallbacks == 1
+    assert rank(loc.multiplication_matrix(p_series)) == loc.quotient_rank - (p - 1)
+
+
+def test_factor_check_when_nothing_or_everything_survives():
+    law = law_for(ZX3, 3, 1)
+    alg = group_cohomology_ring(law, AbelianPType((1,)))  # Q[x]/((1+x)^3 - 1), n = 3
+    x = alg.var(0)
+    elements = [alg.one(), x, x + alg.one(), x * x, alg.zero()]
+    # q = 0: localized at e = 0 the quotient is zero, and every element acts
+    # on it with its full rank 0
+    loc0 = localization_kernel(alg, alg.zero())
+    report = factor_invertibility_check(
+        fgl.tate.EulerClassData(ambient=alg, factors=elements, product=alg.zero()), loc0)
+    assert loc0.quotient_rank == 0
+    assert report.invertible == [True] * 5 and report.fallbacks == 0
+    # q = n: localized at 1 nothing dies, and f is a unit iff gcd(f, G) = 1;
+    # x = 0 is a root of G, 1 + x = 0 is not
+    loc1 = localization_kernel(alg, alg.one())
+    report = factor_invertibility_check(
+        fgl.tate.EulerClassData(ambient=alg, factors=elements, product=alg.one()), loc1)
+    assert loc1.quotient_rank == alg.rank == 3
+    exact = [rank(loc1.multiplication_matrix(f)) == 3 for f in elements]
+    assert report.invertible == exact == [True, False, True, False, False]
+    assert report.fallbacks == 3
+
+
+def test_factor_check_refuses_a_multivariate_ambient():
+    law = law_for(ZX2, 2, 1)
+    ec = euler_class(law, AbelianPType((1, 1)))
+    loc = localization_kernel(ec.ambient, ec.product)
+    with pytest.raises(UnsupportedGroupType):
+        factor_invertibility_check(ec, loc)
 
 
 def _sympy_matrix(alg, f):

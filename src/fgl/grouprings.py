@@ -52,6 +52,11 @@ back in its own sweep. So a slot holds a canonical coefficient plus at most
 sum_j |tail_j| products of two stored ints, at most D (1 + sum_j |tail_j|)
 products of coefficients below p^N; the constructor checks that room with
 ``spec.check_room``.
+
+In one variable (a cyclic ambient, a stage ring ``E0.adjoin(x, T)``) the
+sweep is dense: for k from the top down it adds canon(c[k]) t into
+c[k - d + i] for each tail pair (i, t), with no dict scan per degree and no
+exponent tuple per tail term; the count above holds as it stands.
 """
 
 from __future__ import annotations
@@ -142,6 +147,8 @@ class FiniteAlgebra:
                     f"{self.variables[j]}^{d} plus terms of lower degree in "
                     f"{', '.join(self.variables[:j + 1])} ({spec.precision_label(None)})")
             self._tails.append(tail)
+        if len(self.variables) == 1:  # the dense sweep reads (i, t) pairs
+            self._tails = [[(i, t) for (i,), t in self._tails[0]]]
 
     def adjoin(self, x: str, degree: int, relation: TruncSeries | None = None,
                label: str = "") -> "FiniteAlgebra":
@@ -196,9 +203,19 @@ class FiniteAlgebra:
         return TruncSeries(self.spec, self.variables, None, terms, _clean=True)
 
     def _sweep(self, terms: dict) -> dict:
-        """The reduction sweep of the module docstring on stored ints, in place:
-        c x^e with e_j = k >= d_j becomes c x^(e - d_j e_j) tail_j."""
+        """The reduction sweep of the module docstring on stored ints, ``terms``
+        consumed: c x^e with e_j = k >= d_j becomes c x^(e - d_j e_j) tail_j."""
         canon = self.spec.canon
+        if len(self.variables) == 1:
+            (d,), tail = self.lead_degrees, self._tails[0]
+            c = [0] * (1 + max((e for e, in terms), default=0))
+            for (e,), v in terms.items():
+                c[e] = v
+            for k in range(len(c) - 1, d - 1, -1):
+                if v := canon(c[k]):
+                    for i, t in tail:
+                        c[k - d + i] += v * t
+            return {(e,): v for e, v in enumerate(c[:d]) if v}
         for j in range(len(self.variables) - 1, -1, -1):
             d, tail = self.lead_degrees[j], self._tails[j]
             for k in range(max((expo[j] for expo in terms), default=0), d - 1, -1):

@@ -14,10 +14,11 @@ nonzero mod l is nonzero over Q: the rank mod l is at most the rank over Q,
 which is at most min(rows, cols). A rank mod l equal to min(rows, cols) is
 therefore the exact rank, with no randomness involved; any lower value says
 nothing (l may divide every maximal nonzero minor, as in diag(1, l)) and
-``rank`` falls back to ``rref``. Only full rank is certified this way, so
-``rref`` and ``nullspace`` stay exact eliminations over Q, and a caller that
-compares two ranks below full, such as a kernel chain comparing nullities,
-must read them from ``nullspace`` or ``rref``.
+``rank`` falls back to ``rref``; ``rref`` and ``nullspace`` stay exact
+eliminations over Q. Below full rank the same bound certifies against any
+known upper bound r over Q: ``rank_mod_l`` reading r proves the rank r. The
+kernel chain of ``tate.localization_kernel`` compares ranks below full this
+way, against the exact rank of its previous step.
 
 ``mat_mul`` and the elimination mod l keep each row as one packed int, as
 the series kernel does (Kronecker substitution; Harvey, J. Symb. Comput.
@@ -118,9 +119,9 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     return m[:r], pivots
 
 
-def _rank_mod_l(matrix: Matrix) -> int:
-    """Rank of the matrix reduced mod l, by row echelon elimination over F_l
-    on packed rows of unreduced residues (see the module docstring)."""
+def rank_mod_l(matrix: Matrix) -> int:
+    """Rank of the matrix reduced mod l, a lower bound for its rank over Q, by
+    elimination over F_l on packed rows of unreduced residues (module docstring)."""
     cols = len(matrix[0]) if matrix else 0
     w = (min(len(matrix), cols) * _L * _L).bit_length() + 1
     shifts, mask = range(0, w * cols, w), (1 << w) - 1
@@ -138,7 +139,7 @@ def _rank_mod_l(matrix: Matrix) -> int:
 def rank(matrix: Matrix) -> int:
     """Exact rank over Q: certified mod l when full, else by ``rref``."""
     full = min(_shape("rank", matrix)[0])
-    if _rank_mod_l(matrix) == full:
+    if rank_mod_l(matrix) == full:
         return full
     return len(rref(matrix)[1])
 

@@ -17,9 +17,10 @@ bias - a.
 
 The one product kernel sums A*B over pairs of term dicts (a product is one
 pair). Under a cap it walks each right operand by total degree so the cap
-ends the walk (without one it reads no degree); it adds every in-cap
-product of stored ints into one int per output monomial, and applies
-``spec.canon`` once to each. A slot then sums at most
+ends the walk (without one it reads no degree, and in one variable it keys
+its sums by the int exponent i + j and builds each output's (k,) once); it
+adds every in-cap product of stored ints into one int per output monomial,
+and applies ``spec.canon`` once to each. A slot then sums at most
 D*S products of coefficients below p^N, S the sum over the pairs of
 min(|A|, |B|), which ``spec.check_room`` bounds, so no slot carries.
 ``subst`` groups the terms by their exponent i of the variable o with the
@@ -267,10 +268,17 @@ class TruncSeries:
 
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    acc: dict[Expo, int] = {}
+    acc: dict = {}
     products = 0  # S, the sum of min(|A|, |B|)
+    flat = cap is None and len(variables) == 1  # keyed by the int exponent, tupled once
     for left, right in pairs:
         products += min(len(left), len(right))
+        if flat:
+            right = [(j, c2) for (j,), c2 in right.items()]
+            for (i,), c1 in left.items():
+                for j, c2 in right:
+                    acc[i + j] = acc.get(i + j, 0) + c1 * c2
+            continue
         if cap is None:  # nothing ends the walk, so no degree is needed
             for (e1, c1), (e2, c2) in product(left.items(), right.items()):
                 key = tuple(map(add, e1, e2))
@@ -286,5 +294,6 @@ def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: in
                 acc[key] = acc.get(key, 0) + c1 * c2
     spec.check_room(products)  # before canon reads the slots
     canon = spec.canon
-    terms = {key: c for key, v in acc.items() if (c := canon(v))}
+    keys = zip(acc) if flat else acc  # zip of one iterable yields the tuples (k,)
+    terms = {key: c for key, v in zip(keys, acc.values()) if (c := canon(v))}
     return TruncSeries(spec, variables, cap, terms, _clean=True)

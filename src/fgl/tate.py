@@ -29,9 +29,10 @@ follow, each a rank, gcd or zero test on integers:
   P-columns of the level basis monomials have rank q.
 
 The rank tests ask for full rank, which ``linalg.rank`` certifies by one
-elimination modulo the prime l = 2^61 - 1. A gcd degree mod l is never
-below the one over Q, so deg gcd = n - q mod l proves rank q; any other
-degree falls back to the exact rank of M_f B.
+elimination modulo the prime l = 2^61 - 1; the kernel chain certifies each
+stable step mod l against the exact rank of the step before. A gcd degree
+mod l is never below the one over Q, so deg gcd = n - q mod l proves rank
+q; any other degree falls back to the exact rank of M_f B.
 
 This is only honest over exact (integer) coefficients: inverting a
 p-adically small element at finite p-precision is ill-posed, so truncated
@@ -60,7 +61,7 @@ from .grouprings import (
     level_ring,
 )
 from .laws import FormalGroupLaw
-from .linalg import Matrix, gcd_degree_mod_l, mat_mul, nullspace, rank
+from .linalg import Matrix, gcd_degree_mod_l, mat_mul, nullspace, rank, rank_mod_l
 from .series import TruncSeries
 
 
@@ -78,13 +79,13 @@ def euler_class(law: FormalGroupLaw, gtype: AbelianPType) -> EulerClassData:
     spec, p = law.spec, law.spec.p
     sums = character_sums(law, ambient.variables, [p ** m for m in gtype.exponents])
     factors = [ambient.reduce(s) for s in sums[1:]]  # sums[0] is the zero tuple
-    product = ambient.one()
-    for factor in factors:
-        product = ambient.mul(product, factor)
     if len(factors) != gtype.order(p) - 1:
         raise InternalInconsistency(
             f"euler_class: {len(factors)} factors for {gtype}, expected "
             f"{gtype.order(p) - 1} ({spec.precision_label(None)})")
+    product = ambient.one()
+    for factor in factors:
+        product = ambient.mul(product, factor)
     return EulerClassData(ambient=ambient, factors=factors, product=product)
 
 
@@ -102,6 +103,7 @@ class LocalizedRing:
     basis: Matrix
     quotient_rank: int
     iterations: int
+    fallbacks: int = 0  # chain steps whose stability the rank mod l did not certify
 
     def multiplication_matrix(self, elem: TruncSeries) -> Matrix:
         """``elem`` times B; its rank is the rank of ``elem`` on the quotient."""
@@ -113,20 +115,25 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     stable k. Stability (rank e^(k+1) = rank e^k) is itself the proof that e
     is bijective on im P.
 
-    The chain compares exact nullities from ``nullspace``. At the stable step
-    ker P = ker e^(k+1), so both have the same free columns: the last nonzero
-    entry of each kernel vector. The other q columns of P are B."""
+    A step holds the exact ``nullspace`` of M^k. Since rank_l M^(k+1) <=
+    rank M^(k+1) <= n - dim ker M^k, ``rank_mod_l`` of M^(k+1) reading
+    n - dim ker M^k proves the chain stable; only a step it leaves open (a
+    fallback) runs the exact ``nullspace`` of M^(k+1). The free columns of P
+    are the last nonzero entries of its kernel vectors; the other q are B."""
     if not alg.spec.exact:
         raise ModeError("rational localization needs exact integer coefficients")
     n = alg.rank
     M = alg.integer_matrix(e)
-    image, dim, iterations = M, len(nullspace(M)), 1
+    image, kernel, iterations, fallbacks = M, nullspace(M), 1, 0
     while True:
         power = mat_mul(image, M)
-        kernel = nullspace(power)
-        if len(kernel) == dim:
+        if rank_mod_l(power) == n - len(kernel):
             break
-        image, dim, iterations = power, len(kernel), iterations + 1
+        fallbacks += 1
+        grown = nullspace(power)
+        if len(grown) == len(kernel):
+            break
+        image, kernel, iterations = power, grown, iterations + 1
         if iterations > n:
             raise NonConvergence(
                 f"localization_kernel: kernel chain of a rank-{n} matrix failed to "
@@ -135,7 +142,8 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     pivots = [c for c in range(n) if c not in free]
     basis = [[row[c] for c in pivots] for row in image]
     return LocalizedRing(ambient=alg, inverted=e, image=image, basis=basis,
-                         quotient_rank=len(pivots), iterations=iterations)
+                         quotient_rank=len(pivots), iterations=iterations,
+                         fallbacks=fallbacks)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from all other rows. They share no code with ``fgl.linalg``, so the
 fraction-free integer elimination there is checked against them.
 
 ``mat_mul`` and ``rank_mod_l`` are the entry-by-entry kernels that the
-packed-row ``fgl.linalg.mat_mul`` and ``fgl.linalg._rank_mod_l`` replaced:
+packed-row ``fgl.linalg.mat_mul`` and ``fgl.linalg.rank_mod_l`` replaced:
 a triple loop over single entries, and an elimination over F_l that reduces
 every entry of every updated row mod l.
 """

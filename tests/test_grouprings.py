@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import algebra_oracle
+import series_oracle
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.errors import (
@@ -417,6 +418,51 @@ def test_reduce_on_triangular_algebras_matches_the_rescanning_oracle(case):
     # over Z, Z/p^N and Z/p^N[u]/(u^D); the examples are the worst case of the slot proof
     alg, f = case
     assert alg.reduce(f) == algebra_oracle.reduce(alg, f)
+
+
+@functools.cache
+def one_variable_rings() -> dict[str, FiniteAlgebra]:
+    return {
+        "ambient Z C_27": group_cohomology_ring(multiplicative_law(ZX3, 31), AbelianPType((3,))),
+        "ambient Z/16 C_4": group_cohomology_ring(multiplicative_law(Z16, 6), AbelianPType((2,))),
+        "ambient lubinTate2 C_2": group_cohomology_ring(lubin_tate_height2_law(LT2_SMALL, 24),
+                                                        AbelianPType((1,))),
+        "level Z C_9": level_ring(multiplicative_law(ZX3, 13), AbelianPType((2,))),
+        "stage E0[x]/(x^8) over Z": FiniteAlgebra(ZX3, (), [], ()).adjoin("x", 8),
+        "stage E0[x]/(x^12) over Z/9": FiniteAlgebra(Z9, (), [], ()).adjoin("x", 12),
+        "stage E0[x]/(x^20) over Z/9[u]/(u^3)": FiniteAlgebra(Z9U3, (), [], ()).adjoin("x", 20),
+    }
+
+
+@st.composite
+def one_variable_elements(draw, alg: FiniteAlgebra) -> TruncSeries:
+    """The coefficients of 1, x, ..., x^top for a top up to 2d, some zero."""
+    hi = alg.spec.modulus or 10 ** 12
+    coeff = st.lists(st.integers(-hi, hi), min_size=1, max_size=alg.spec.width)
+    size = draw(st.integers(0, 2 * alg.lead_degrees[0] + 1))
+    coeffs = draw(st.lists(st.just([0]) | coeff | coeff | coeff, min_size=size, max_size=size))
+    return TruncSeries(alg.spec, alg.variables, None,
+                       {(e,): CoeffElem(alg.spec, c) for e, c in enumerate(coeffs)})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(one_variable_rings())), st.data())
+def test_one_variable_sweep_matches_the_oracles(name, data):
+    # over Z, Z/p^N and Z/p^N[u]/(u^D): the dense sweep against the rescanning
+    # reduction, through reduce, mul and, without u, both integer walks; the
+    # oracle's column a x^(k+1) is its reduction of x times column a x^k
+    alg = one_variable_rings()[name]
+    a, b = (data.draw(one_variable_elements(alg)) for _ in range(2))
+    column = algebra_oracle.reduce(alg, a)
+    assert alg.reduce(a) == column
+    assert alg.mul(a, b) == algebra_oracle.reduce(alg, series_oracle.mul(a, b))
+    if alg.spec.width == 1:
+        ints = []
+        for _ in range(alg.rank):
+            ints.append([column.coefficient(e).constant_part() for e in alg.basis()])
+            column = algebra_oracle.reduce(alg, series_oracle.mul(column, alg.var(0)))
+        assert alg.integer_coordinates(a) == ints[0]
+        assert alg.integer_matrix(a) == [list(row) for row in zip(*ints)]
 
 
 def test_unkilled_relation_names_map_index_and_precision():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fgl.linalg
 import linalg_oracle
 from fgl.errors import InternalInconsistency
-from fgl.linalg import _rank_mod_l, gcd_degree_mod_l, mat_mul, nullspace, rank, rref
+from fgl.linalg import gcd_degree_mod_l, mat_mul, nullspace, rank, rank_mod_l, rref
 
 ELL = linalg_oracle.ELL  # the prime of the rank certificate
 
@@ -189,7 +189,7 @@ def _residue_matrices(draw):
 @example(m=_ell_worst_case(30, 31, 29))
 @example(m=_filled(30, 30, ELL - 1))
 def test_packed_rank_mod_l_matches_entrywise_oracle(m):
-    assert _rank_mod_l(m) == linalg_oracle.rank_mod_l(m)
+    assert rank_mod_l(m) == linalg_oracle.rank_mod_l(m)
 
 
 # one row shorter or longer than the first: a ragged matrix is never truncated

@@ -145,7 +145,7 @@ def test_rename_matches_substitution_of_variables(ring, data):
 
 
 @pytest.mark.parametrize("spec", SPECS[1:], ids=["p2N5", "p3N3D3", "p2N8D6"])
-@pytest.mark.parametrize("nvars, cap", [(1, 24), (2, 9), (3, 6), (2, None)])
+@pytest.mark.parametrize("nvars, cap", [(1, 24), (2, 9), (3, 6), (2, None), (1, None)])
 def test_mul_slot_width_worst_case(spec, nvars, cap):
     # dense operands with every coefficient p^N - 1 multiplied at the fixed
     # slot width 2 bitlen(p^N - 1) + 32: the largest slot sums
@@ -157,6 +157,19 @@ def test_mul_slot_width_worst_case(spec, nvars, cap):
     assert f * f == series_oracle.mul(f, f)
     assert f * g == series_oracle.mul(f, g)
     assert g * f == series_oracle.mul(g, f)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(SPECS), st.data())
+def test_one_variable_cap_free_products_match_the_oracle(spec, data):
+    # the kernel keyed by int exponents, on operands up to the size of the psi
+    # powers of a delta-check: one pair as a product, several as the groups of
+    # a substitution
+    a, b = (raw_series(spec, 1, None, data.draw(raw_terms(spec, 1, 30, top=40)))
+            for _ in range(2))
+    assert stored(a * b) == series_oracle.mul(a, b)
+    f = raw_series(spec, 1, None, data.draw(raw_terms(spec, 1, 5, top=4)))
+    assert stored(f.subst({"x": b})) == series_oracle.subst(f, {"x": b})
 
 
 # -- the grouped substitution against the term-wise oracle -----------------------
@@ -323,6 +336,7 @@ SUITE = pathlib.Path(__file__).resolve().parent.parent / "suite"
 CROSS_CHECKED = [
     {"command": "check-axioms", "law": "lubinTate2", "p": 2, "pprec": 8, "udeg": 6, "trunc": 12},
     {"command": "prepare", "law": "lubinTate2", "p": 2, "M": 1, "pprec": 8, "udeg": 6, "trunc": 20},
+    {"command": "delta-check", "ring": "Z[t]; psi t -> t^3; p 3", "samples": 200, "seed": 7},
 ]
 
 

@@ -8,10 +8,10 @@ import fgl.tate
 import linalg_oracle
 
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import ModeError, UnsupportedGroupType
+from fgl.errors import InternalInconsistency, ModeError, UnsupportedGroupType
 from fgl.grouprings import AbelianPType, FiniteAlgebra, group_cohomology_ring, level_ring
 from fgl.laws import lubin_tate_height2_law, multiplicative_law
-from fgl.linalg import rank
+from fgl.linalg import mat_mul, nullspace, rank
 from fgl.series import TruncSeries
 from fgl.tate import (
     euler_class,
@@ -43,6 +43,19 @@ def test_euler_class_factor_count():
         law = law_for(spec, p, max(gtype))
         ec = euler_class(law, AbelianPType(gtype))
         assert len(ec.factors) == p ** sum(gtype) - 1
+
+
+def test_euler_class_checks_the_factor_count_before_multiplying(monkeypatch):
+    law = law_for(ZX3, 3, 1)
+    ambient = group_cohomology_ring(law, AbelianPType((1,)))
+    sums, mul, callers = fgl.tate.character_sums, FiniteAlgebra.mul, []
+    monkeypatch.setattr(fgl.tate, "group_cohomology_ring", lambda law, gtype: ambient)
+    monkeypatch.setattr(fgl.tate, "character_sums", lambda *args: sums(*args)[:-1])
+    monkeypatch.setattr(FiniteAlgebra, "mul",
+                        lambda self, a, b: callers.append(self) or mul(self, a, b))
+    with pytest.raises(InternalInconsistency, match="1 factors for 1, expected 2"):
+        euler_class(law, AbelianPType((1,)))
+    assert ambient not in callers
 
 
 def test_euler_class_cp_is_product_of_character_classes():
@@ -81,6 +94,9 @@ def test_localization_of_a_non_reduced_ring():
     alg = FiniteAlgebra(ZX2, ("x",), [x * x * x - x * x], (3,))
     loc = localization_kernel(alg, x)
     assert (loc.iterations, loc.quotient_rank) == (2, 1)
+    # ker x < ker x^2: the rank of x^2 mod l cannot certify the first step
+    assert loc.fallbacks >= 1
+    assert (loc.image, loc.basis, loc.quotient_rank, loc.iterations) == all_nullspace_chain(alg, x)
     assert rank(loc.multiplication_matrix(alg.one())) == 1
     assert rank(loc.multiplication_matrix(x - alg.one())) == 0
 
@@ -202,6 +218,41 @@ def test_factor_invertibility_check_makes_no_algebra_products(monkeypatch):
 CYCLIC_UP_TO_27 = [(CoeffRingSpec(p=p, p_precision=None), p, m)
                    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
                    for m in range(1, 5) if p ** m <= 27]
+
+
+def all_nullspace_chain(alg, e):
+    """The kernel chain with one exact nullspace per power of M and no
+    certificate mod l: (image, basis, quotient_rank, iterations)."""
+    n = alg.rank
+    M = alg.integer_matrix(e)
+    image, dim, iterations = M, len(nullspace(M)), 1
+    while True:
+        power = mat_mul(image, M)
+        kernel = nullspace(power)
+        if len(kernel) == dim:
+            break
+        image, dim, iterations = power, len(kernel), iterations + 1
+    free = {max(i for i, x in enumerate(v) if x) for v in kernel}
+    pivots = [c for c in range(n) if c not in free]
+    return image, [[row[c] for c in pivots] for row in image], len(pivots), iterations
+
+
+@pytest.mark.parametrize("spec, p, m", CYCLIC_UP_TO_27,
+                         ids=[f"{p}^{m}" for _, p, m in CYCLIC_UP_TO_27])
+def test_certified_chain_matches_the_all_nullspace_chain(spec, p, m):
+    # at the Euler class, at 1, at 0 and at x every stable step is certified
+    # mod l; at l itself M = l I reads rank 0 mod l, and the exact nullspace
+    # of M^2 has to find the chain stable
+    law = law_for(spec, p, m)
+    ec = euler_class(law, AbelianPType((m,)))
+    alg = ec.ambient
+    ell = alg.one().scale(CoeffElem.from_int(spec, linalg_oracle.ELL))
+    for e, fallbacks in ((ec.product, 0), (alg.one(), 0), (alg.zero(), 0), (alg.var(0), 0),
+                         (ell, 1)):
+        loc = localization_kernel(alg, e)
+        assert (loc.image, loc.basis, loc.quotient_rank, loc.iterations) == \
+            all_nullspace_chain(alg, e)
+        assert loc.fallbacks == fallbacks
 
 
 @pytest.mark.parametrize("spec, p, m", CYCLIC_UP_TO_27,
@@ -335,7 +386,8 @@ def test_tate_jobs_match_the_entrywise_kernels(spec, p, m, shape, monkeypatch):
     monkeypatch.setattr(fgl.linalg, "mat_mul",
                         lambda a, b: calls.append("mat_mul") or linalg_oracle.mat_mul(a, b))
     monkeypatch.setattr(fgl.tate, "mat_mul", fgl.linalg.mat_mul)
-    monkeypatch.setattr(fgl.linalg, "_rank_mod_l",
+    monkeypatch.setattr(fgl.linalg, "rank_mod_l",
                         lambda a: calls.append("rank") or linalg_oracle.rank_mod_l(a))
+    monkeypatch.setattr(fgl.tate, "rank_mod_l", fgl.linalg.rank_mod_l)
     assert run() == packed
     assert packed[-1].all_invertible and {"mat_mul", "rank"} <= set(calls)

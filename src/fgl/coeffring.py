@@ -28,8 +28,9 @@ coefficient itself, with u the canonical u-polynomial, u^i in bits
 [i W, (i + 1) W) for W = 2 bitlen(p^N - 1) + 32. A slot of a product of two
 stored ints sums at most D products of coefficients below p^N, so S such
 products add without a carry while D S < 2^32 (``check_room``). ``canon``
-reduces each slot below u^D of such a sum mod p^N and drops the rest;
-``bias`` holds p^N in every slot, so a + bias - b and bias - a never borrow.
+reduces each slot below u^D of such a sum mod p^N and drops the rest (when
+p^N = 2^N, by one AND with the mask of N low bits per slot); ``bias`` holds
+p^N in every slot, so a + bias - b and bias - a never borrow.
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ class CoeffRingSpec:
         if self.deformation_params:  # u^i in bits [i W, (i + 1) W)
             w = 2 * (m - 1).bit_length() + SLOT_ROOM_BITS
             shifts, mask = range(0, w * width, w), (1 << w) - 1
-            pack, unpack, canon = (
+            pack, unpack = (
                 lambda t: sum(map(lshift, t, shifts)),
-                lambda v: _canonical(self, [v >> s & mask for s in shifts]),
-                lambda v: sum([(v >> s & mask) % m << s for s in shifts]))
+                lambda v: _canonical(self, [v >> s & mask for s in shifts]))
+            canon = (pack([m - 1] * width).__and__ if m & (m - 1) == 0 else  # p^N = 2^N
+                     lambda v: sum([(v >> s & mask) % m << s for s in shifts]))
             bias = pack([m] * width)
         else:  # the int is the coefficient
             pack, unpack = (lambda t: t[0] if t else 0), (lambda v: (v,) if v else ())

@@ -16,11 +16,15 @@ difference or negation of terms is ``spec.canon`` of a + b, a + bias - b or
 bias - a.
 
 The one product kernel sums A*B over pairs of term dicts (a product is one
-pair). Under a cap it walks each right operand by total degree so the cap
-ends the walk (without one it reads no degree, and in one variable it keys
-its sums by the int exponent i + j and builds each output's (k,) once); it
-adds every in-cap product of stored ints into one int per output monomial,
-and applies ``spec.canon`` once to each. A slot then sums at most
+pair) keyed by one int per exponent, as in Monagan and Pearce's packed
+exponent vectors (CASC 2007): in n >= 2 variables the base-B digits of
+deg(e), e_1, ..., e_n, B the cap or, without one, one more than any
+coordinate of a product, so a product's key is k1 + k2 and carries no digit;
+in one variable the exponent; in none 0. Under a cap each right operand is
+sorted by key, so by degree, and a left term walks only the slice below
+cap - deg(e1). It adds every in-cap product of stored ints into one int per
+output key, decodes each output's exponent once and applies ``spec.canon``
+once to each. A slot then sums at most
 D*S products of coefficients below p^N, S the sum over the pairs of
 min(|A|, |B|), which ``spec.check_room`` bounds, so no slot carries.
 ``subst`` groups the terms by their exponent i of the variable o with the
@@ -32,14 +36,16 @@ table of image powers may be kept by the caller across calls, as
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
-from itertools import product
-from operator import add, itemgetter, mul
+from itertools import chain, repeat
+from operator import itemgetter, mul
 
 from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import NonNilpotentArgument, SpecMismatch
 
 Expo = tuple[int, ...]
+_KEY = itemgetter(0)  # of a kernel term (key, c)
 
 
 class TruncSeries:
@@ -268,32 +274,45 @@ class TruncSeries:
 
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    acc: dict = {}
+    n, W = len(variables), 1
+    if n > 1:  # B: the cap, or without one more than any coordinate of a product
+        top = lambda terms: max(chain.from_iterable(terms), default=0)
+        B = cap if cap is not None else 1 + max((top(a) + top(b) for a, b in pairs), default=0)
+        W, *weights = [B ** i for i in range(n, -1, -1)]
+    # each term as (key, c), the key of e the digits deg(e), e_1, ..., e_n in base B (in one
+    # variable the exponent, in none 0), so a key over W is its degree and k1 + k2 a product's
+    if n == 0:
+        keyed = lambda terms: [(0, c) for c in terms.values()]
+    elif n == 1:
+        keyed = lambda terms: [(i, c) for (i,), c in terms.items()]
+    elif n == 2:
+        keyed = lambda terms: [(((i + j) * B + i) * B + j, c) for (i, j), c in terms.items()]
+    elif n == 3:
+        keyed = lambda terms: [((((i + j + k) * B + i) * B + j) * B + k, c)
+                               for (i, j, k), c in terms.items()]
+    else:
+        keyed = lambda terms: [(sum(e) * W + sum(map(mul, e, weights)), c)
+                               for e, c in terms.items()]
+    acc: dict[int, int] = {}
     products = 0  # S, the sum of min(|A|, |B|)
-    flat = cap is None and len(variables) == 1  # keyed by the int exponent, tupled once
     for left, right in pairs:
         products += min(len(left), len(right))
-        if flat:
-            right = [(j, c2) for (j,), c2 in right.items()]
-            for (i,), c1 in left.items():
-                for j, c2 in right:
-                    acc[i + j] = acc.get(i + j, 0) + c1 * c2
+        right = keyed(right)
+        if n == 1 and cap is None:  # one variable, no cap: the left terms as they stand
+            for (k1,), c1 in left.items():
+                for k2, c2 in right:
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
             continue
-        if cap is None:  # nothing ends the walk, so no degree is needed
-            for (e1, c1), (e2, c2) in product(left.items(), right.items()):
-                key = tuple(map(add, e1, e2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-            continue
-        right = sorted(((sum(e), e, c) for e, c in right.items()), key=itemgetter(0))
-        for e1, c1 in left.items():
-            room = cap - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 >= room:
-                    break
-                key = tuple(map(add, e1, e2))
-                acc[key] = acc.get(key, 0) + c1 * c2
+        if cap:  # by degree, so a left term of degree d walks the slice of degree < cap - d
+            right.sort(key=_KEY)
+        for k1, c1 in keyed(left):
+            for k2, c2 in (right[:bisect_left(right, (cap - k1 // W) * W, key=_KEY)]
+                           if cap else right):
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
     spec.check_room(products)  # before canon reads the slots
+    # each output's exponent, decoded once: the digits below its degree (zip(acc) gives (k,))
+    expos = (zip(*[[k // w % B for k in acc] for w in weights]) if n > 1 else
+             zip(acc) if n else repeat(()))
     canon = spec.canon
-    keys = zip(acc) if flat else acc  # zip of one iterable yields the tuples (k,)
-    terms = {key: c for key, v in zip(keys, acc.values()) if (c := canon(v))}
+    terms = {e: c for e, v in zip(expos, acc.values()) if (c := canon(v))}
     return TruncSeries(spec, variables, cap, terms, _clean=True)

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.coeffring import CoeffElem, CoeffRingSpec
+from fgl.coeffring import SLOT_ROOM_BITS, CoeffElem, CoeffRingSpec
 from fgl.errors import NotAUnit, SpecMismatch
 
 Z2_4 = CoeffRingSpec(p=2, p_precision=4)
@@ -201,3 +201,38 @@ def test_arithmetic_against_sympy(spec, data):
             a.invert()
     else:
         assert a.invert().terms == sympy_reduced(spec, sympy.invert(pa, U ** spec.width))
+
+
+# -- canon where p^N is a power of two: one mask in place of D shifts and mods --
+
+MASKED = {f"N{n}D{d}": CoeffRingSpec(p=2, p_precision=n, deformation_params=1, u_degree_cap=d)
+          for n, d in ((8, 6), (3, 2), (1, 4))}
+
+
+def slotwise(spec, v):
+    """v reduced slot by slot mod p^N, the slots at u^D and above dropped."""
+    w = 2 * (spec.modulus - 1).bit_length() + SLOT_ROOM_BITS
+    return sum((v >> i * w & (1 << w) - 1) % spec.modulus << i * w for i in range(spec.width))
+
+
+@pytest.mark.parametrize("spec", MASKED.values(), ids=MASKED)
+def test_mask_canon_is_the_slotwise_reduction(spec):
+    assert spec.canon.__self__ == spec.pack([spec.modulus - 1] * spec.width)  # the mask itself
+    rng, w = random.Random(25), 2 * (spec.modulus - 1).bit_length() + SLOT_ROOM_BITS
+    copy = pickle.loads(pickle.dumps(spec))
+    for _ in range(300):  # a sum of products fills up to 2D - 1 nonnegative slots
+        v = sum(rng.randrange(1 << w) << i * w for i in range(rng.randrange(1, 2 * spec.width)))
+        assert spec.canon(v) == slotwise(spec, v) == copy.canon(v)
+    for _ in range(100):  # a + bias - b and bias - a over canonical a and b
+        a, b = (CoeffElem(spec, [rng.randrange(spec.modulus) for _ in range(spec.width)])
+                for _ in range(2))
+        pa, pb = spec.pack(a.terms), spec.pack(b.terms)
+        assert spec.canon(pa + spec.bias - pb) == slotwise(spec, pa + spec.bias - pb)
+        assert spec.unpack(spec.canon(pa + spec.bias - pb)) == (a - b).terms
+        assert spec.unpack(spec.canon(spec.bias - pa)) == (-a).terms
+        assert copy.canon(spec.bias - pa) == spec.canon(spec.bias - pa)
+
+
+def test_other_rings_keep_the_slotwise_canon():
+    assert Z3_2_U.canon(Z3_2_U.pack([10, 11])) == Z3_2_U.pack([1, 2])
+    assert not hasattr(Z3_2_U.canon, "__self__") and Z2_4.canon(-1) == 15

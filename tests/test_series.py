@@ -73,7 +73,7 @@ SPECS = (
     CoeffRingSpec(p=3, p_precision=3, deformation_params=1, u_degree_cap=3),
     CoeffRingSpec(p=2, p_precision=8, deformation_params=1, u_degree_cap=6),
 )
-NAMES = ("x", "y", "z")
+NAMES = ("x", "y", "z", "w")
 X, U = sympy.symbols("x y z"), sympy.Symbol("u")
 
 
@@ -132,7 +132,7 @@ def test_rename_matches_substitution_of_variables(ring, data):
     f = raw_series(spec, nvars, cap, data.draw(raw_terms(spec, nvars)))
     # an equal or larger target tuple, and an injective map into it: swaps
     # included, and a variable that keeps its name may be left out of the map
-    variables = tuple(data.draw(st.lists(st.sampled_from(NAMES + ("s", "t")),
+    variables = tuple(data.draw(st.lists(st.sampled_from(NAMES[:3] + ("s", "t")),
                                          min_size=nvars, max_size=5, unique=True)))
     targets = data.draw(st.permutations(variables))[:nvars]
     names = {v: t for v, t in zip(f.variables, targets) if v != t}
@@ -160,16 +160,33 @@ def test_mul_slot_width_worst_case(spec, nvars, cap):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.sampled_from(SPECS), st.data())
-def test_one_variable_cap_free_products_match_the_oracle(spec, data):
+@given(st.sampled_from(SPECS), st.integers(0, 4), st.data())
+def test_cap_free_products_match_the_oracle(spec, nvars, data):
     # the kernel keyed by int exponents, on operands up to the size of the psi
-    # powers of a delta-check: one pair as a product, several as the groups of
-    # a substitution
-    a, b = (raw_series(spec, 1, None, data.draw(raw_terms(spec, 1, 30, top=40)))
+    # powers of a delta-check, in no to four variables: without a cap the radix
+    # B is one more than the largest coordinate of a product (exponents to 40
+    # here), so a product reaching B - 1 must not carry. One pair as a product,
+    # several as the groups of a substitution
+    a, b = (raw_series(spec, nvars, None, data.draw(raw_terms(spec, nvars, 30, top=40)))
             for _ in range(2))
     assert stored(a * b) == series_oracle.mul(a, b)
     f = raw_series(spec, 1, None, data.draw(raw_terms(spec, 1, 5, top=4)))
     assert stored(f.subst({"x": b})) == series_oracle.subst(f, {"x": b})
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["Z", "p2N5", "p3N3D3", "p2N8D6"])
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4])
+def test_capped_products_reach_the_top_digit(spec, nvars):
+    # under a cap the radix is the cap: every monomial of degree cap - 1 (so
+    # x^(cap-1) and x^a y^b with a + b = cap - 1) times the terms of degree <= 1
+    # reaches cap - 1 in each coordinate and stops at degree cap
+    cap, c = 6, [5, 3][:spec.width]
+    expos = list(itertools.product(range(cap), repeat=nvars))
+    edge = raw_series(spec, nvars, cap, {e: c for e in expos if sum(e) == cap - 1})
+    low = raw_series(spec, nvars, cap, {e: [1, 2][:spec.width] for e in expos if sum(e) <= 1})
+    for a, b in ((edge, low), (low, edge), (edge + low, edge + low)):
+        assert stored(a * b) == series_oracle.mul(a, b)
+    assert nvars == 0 or (edge * low).homogeneous_part(cap - 1) == edge.scale(low.constant_term())
 
 
 # -- the grouped substitution against the term-wise oracle -----------------------
@@ -333,18 +350,30 @@ def test_stored_int_arithmetic_matches_the_oracles(ring, data):
 # -- every product of two suite jobs against the oracle -----------------------
 
 SUITE = pathlib.Path(__file__).resolve().parent.parent / "suite"
+# each job with the kernel shapes it reaches: (variables, capped), 2 for two or more
 CROSS_CHECKED = [
-    {"command": "check-axioms", "law": "lubinTate2", "p": 2, "pprec": 8, "udeg": 6, "trunc": 12},
-    {"command": "prepare", "law": "lubinTate2", "p": 2, "M": 1, "pprec": 8, "udeg": 6, "trunc": 20},
-    {"command": "delta-check", "ring": "Z[t]; psi t -> t^3; p 3", "samples": 200, "seed": 7},
+    ({"command": "check-axioms", "law": "lubinTate2", "p": 2, "pprec": 8, "udeg": 6,
+      "trunc": 12}, {(2, True)}),
+    ({"command": "prepare", "law": "lubinTate2", "p": 2, "M": 1, "pprec": 8, "udeg": 6,
+      "trunc": 20}, {(1, True), (1, False)}),
+    ({"command": "delta-check", "ring": "Z[t]; psi t -> t^3; p 3", "samples": 200, "seed": 7},
+     {(1, False)}),
+    ({"command": "level", "law": "lubinTate2", "p": 2, "type": "1,1", "pprec": 3, "udeg": 2,
+      "trunc": 24}, {(1, True), (1, False), (2, False)}),
 ]
 
 
-@pytest.mark.parametrize("job", CROSS_CHECKED, ids=lambda job: job["command"])
-def test_suite_job_products_match_oracle(job, monkeypatch):
+def test_the_cross_checked_jobs_reach_every_kernel_shape():
+    reached = set().union(*(shapes for _, shapes in CROSS_CHECKED))
+    assert reached == set(itertools.product((1, 2), (True, False)))
+
+
+@pytest.mark.parametrize("job, shapes", CROSS_CHECKED,
+                         ids=[job["command"] for job, _ in CROSS_CHECKED])
+def test_suite_job_products_match_oracle(job, shapes, monkeypatch):
     # the hook sits on the packed kernel that both __mul__ and subst sum into
     assert job in json.loads((SUITE / "default.json").read_text())
-    kernel, products, sums = series._sum_of_products, [], []
+    kernel, products, sums, reached = series._sum_of_products, [], [], set()
 
     def checked(pairs, spec, variables, cap):
         got = kernel(pairs, spec, variables, cap)
@@ -356,9 +385,11 @@ def test_suite_job_products_match_oracle(job, monkeypatch):
         assert got == expected
         products.extend(pairs)
         sums.append(got)
+        reached.add((min(len(variables), 2), cap is not None))
         return got
 
     monkeypatch.setattr(series, "_sum_of_products", checked)
     record = run_job(dict(job))
     assert len(products) > 100 and any(not f.is_zero() for f in sums)
+    assert reached == shapes
     assert record["digest"] in json.loads((SUITE / "baseline.json").read_text())

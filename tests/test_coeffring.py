@@ -231,8 +231,3 @@ def test_mask_canon_is_the_slotwise_reduction(spec):
         assert spec.unpack(spec.canon(pa + spec.bias - pb)) == (a - b).terms
         assert spec.unpack(spec.canon(spec.bias - pa)) == (-a).terms
         assert copy.canon(spec.bias - pa) == spec.canon(spec.bias - pa)
-
-
-def test_other_rings_keep_the_slotwise_canon():
-    assert Z3_2_U.canon(Z3_2_U.pack([10, 11])) == Z3_2_U.pack([1, 2])
-    assert not hasattr(Z3_2_U.canon, "__self__") and Z2_4.canon(-1) == 15

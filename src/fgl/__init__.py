@@ -32,9 +32,4 @@ from .tate import (
     level_to_tate_map,
     localization_kernel,
 )
-from .weierstrass import (
-    WeierstrassFactorization,
-    weierstrass_degree,
-    weierstrass_divide,
-    weierstrass_prepare,
-)
+from .weierstrass import WeierstrassFactorization, weierstrass_prepare

@@ -49,6 +49,9 @@ from .tate import euler_image_in_level, factor_invertibility_check, level_to_tat
 from .weierstrass import weierstrass_prepare
 
 LAWS = ("multiplicative", "additive", "honda", "lubinTate2")
+# the keys of a job after "command", in the order its canonical form keeps them
+_JOB_KEYS = ("law", "p", "m", "M", "height", "type", "pprec", "udeg", "trunc", "ring", "samples",
+             "r", "seed")
 _SHARED_LAWS = contextvars.ContextVar("shared_laws")  # set only while run_suite runs its jobs
 _ring = functools.cache(CoeffRingSpec)  # one spec, with its stored-form closures, per ring
 
@@ -155,12 +158,7 @@ def run_job(job: dict) -> dict:
 
 
 def _canonical_job(job: dict) -> dict:
-    keep = {}
-    for key in ("command", "law", "p", "m", "M", "height", "type", "pprec",
-                "udeg", "trunc", "ring", "samples", "r", "seed"):
-        if key in job and job[key] is not None:
-            keep[key] = job[key]
-    return keep
+    return {key: job[key] for key in ("command", *_JOB_KEYS) if job.get(key) is not None}
 
 
 def _dispatch(command: str, job: dict) -> dict:
@@ -239,7 +237,7 @@ def _dispatch(command: str, job: dict) -> dict:
         r = int(job.get("r", 1))
         base = CoeffRingSpec(p=ring.p, p_precision=1)
         # r itself and every power the composition law below needs, each built once
-        values = {k: sheaf_eval(ring, base, k) for k in sorted({r, *range(5)})}
+        values = {k: sheaf_eval(ring, k) for k in sorted({r, *range(5)})}
         sv = values[r]
         comp_ok = True
         for r1 in range(0, 3):
@@ -432,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _job_from_args(args: argparse.Namespace) -> dict:
     job = {"command": args.command}
-    for key in ("law", "p", "m", "M", "height", "type", "pprec", "udeg",
-                "trunc", "ring", "samples", "r", "seed"):
+    for key in _JOB_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             job[key] = value

@@ -16,28 +16,29 @@ Truncated mode deliberately refuses division by p: in Z/p^N that operation
 silently loses a digit of precision and would poison downstream equality
 tests.
 
-Elements are immutable and dense: the tuple of canonical coefficients of
-1, u, u^2, ... with trailing zeros stripped, so zero is ``()`` and equal
-elements are equal tuples. It is at most D long with a u and at most 1
-long without. The truncated product of two such coefficient lists is
-:func:`convolve`, which the law builder shares.
+The spec fixes the one-int stored form of a coefficient (``pack``,
+``unpack``): without u the coefficient itself, with u the canonical
+u-polynomial, u^i in bits [i W, (i + 1) W) for W = 2 bitlen(p^N - 1) + 32. A
+slot of a product of two stored ints sums at most D products of coefficients
+below p^N, so S such products add without a carry while D S < 2^32
+(``check_room``). The spec refuses D >= 2^32, so one product of two stored
+ints needs no check. ``canon`` reduces each slot below u^D of such a sum mod
+p^N and drops the rest (when p^N = 2^N, by one AND with the mask of N low
+bits per slot); ``bias`` holds p^N in every slot, so a + bias - b and
+bias - a never borrow.
 
-The spec also fixes the one-int stored form of a coefficient that series
-and finite algebras keep per term (``pack``, ``unpack``): without u the
-coefficient itself, with u the canonical u-polynomial, u^i in bits
-[i W, (i + 1) W) for W = 2 bitlen(p^N - 1) + 32. A slot of a product of two
-stored ints sums at most D products of coefficients below p^N, so S such
-products add without a carry while D S < 2^32 (``check_room``). ``canon``
-reduces each slot below u^D of such a sum mod p^N and drops the rest (when
-p^N = 2^N, by one AND with the mask of N low bits per slot); ``bias`` holds
-p^N in every slot, so a + bias - b and bias - a never borrow.
+A :class:`CoeffElem` is immutable and holds one stored int, ``value``, the
+form in which series and finite algebras keep their terms: equal elements
+are equal ints, zero is 0 and one is 1 in every ring. A sum, difference,
+negation or product is ``canon`` of a + b, a + bias - b, bias - a or a b.
+``terms`` is the tuple of canonical coefficients of 1, u, u^2, ..., trailing
+zeros stripped, for display and serialization.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from operator import lshift
 
 from .errors import InternalInconsistency, NotAUnit, SpecMismatch
@@ -82,6 +83,8 @@ class CoeffRingSpec:
             raise ValueError("deformation_params must be 0 or 1")
         if self.u_degree_cap < 1:
             raise ValueError("u_degree_cap must be >= 1")
+        if self.u_degree_cap >> SLOT_ROOM_BITS:
+            raise ValueError(f"u_degree_cap must be < 2^{SLOT_ROOM_BITS}")
         if self.exact and self.deformation_params != 0:
             raise ValueError("exact mode requires deformation_params = 0")
         m = None if self.exact else self.p ** self.p_precision
@@ -125,16 +128,6 @@ class CoeffRingSpec:
         return label if cap is None else f"{label}, T={cap}"
 
 
-def convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
-    """The coefficients of u^0..u^(width-1) in a * b, for coefficient lists by u-degree."""
-    out = [0] * width
-    for i, x in enumerate(a[:width]):
-        if x:
-            for k, y in enumerate(b[:width - i], i):
-                out[k] += x * y
-    return out
-
-
 def _canonical(spec: CoeffRingSpec, ints: Sequence[int]) -> tuple[int, ...]:
     """``ints`` reduced mod p^N (in finite mode), trailing zeros stripped."""
     m = spec.modulus
@@ -147,16 +140,18 @@ def _canonical(spec: CoeffRingSpec, ints: Sequence[int]) -> tuple[int, ...]:
 
 
 class CoeffElem:
-    """An element of a coefficient ring: its integer coefficients by u-degree."""
+    """An element of a coefficient ring: one int in its ring's stored form."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "value")
 
-    def __init__(self, spec: CoeffRingSpec, terms: Sequence[int], *, _clean: bool = False):
+    def __init__(self, spec: CoeffRingSpec, coeffs: Sequence[int], *, _clean: bool = False):
+        """``coeffs`` lists the integer coefficients by u-degree; with ``_clean``
+        it is a stored int (``spec.canon``'s output), kept as given."""
         if not _clean:
-            if len(terms) > 1 and not spec.deformation_params:
-                raise SpecMismatch(f"coefficients {list(terms)} need a u-variable")
-            terms = _canonical(spec, terms[:spec.width])
-        self.spec, self.terms = spec, terms
+            if len(coeffs) > 1 and not spec.deformation_params:
+                raise SpecMismatch(f"coefficients {list(coeffs)} need a u-variable")
+            coeffs = spec.pack(_canonical(spec, coeffs[:spec.width]))
+        self.spec, self.value = spec, coeffs
 
     # -- constructors -------------------------------------------------
 
@@ -173,20 +168,26 @@ class CoeffElem:
 
     @classmethod
     def zero(cls, spec: CoeffRingSpec) -> "CoeffElem":
-        return cls(spec, (), _clean=True)
+        return cls(spec, 0, _clean=True)
 
     @classmethod
     def one(cls, spec: CoeffRingSpec) -> "CoeffElem":
-        return cls.from_int(spec, 1)
+        return cls(spec, 1, _clean=True)  # the stored form of 1 in every ring
 
-    # -- predicates ----------------------------------------------------
+    # -- views and predicates -------------------------------------------
+
+    @property
+    def terms(self) -> tuple[int, ...]:
+        """The canonical coefficients of 1, u, u^2, ..., trailing zeros stripped."""
+        return self.spec.unpack(self.value)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.value
 
     def constant_part(self) -> int:
         """Coefficient of u^0."""
-        return self.terms[0] if self.terms else 0
+        terms = self.terms
+        return terms[0] if terms else 0
 
     def is_unit(self) -> bool:
         """Unit in the local ring: constant part not divisible by p."""
@@ -200,35 +201,22 @@ class CoeffElem:
 
     def __add__(self, other: "CoeffElem") -> "CoeffElem":
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return CoeffElem(self.spec, _canonical(self.spec, out), _clean=True)
+        spec = self.spec
+        return CoeffElem(spec, spec.canon(self.value + other.value), _clean=True)
 
     def __neg__(self) -> "CoeffElem":
-        m, t = self.spec.modulus, self.terms
-        neg = [-c for c in t] if m is None else [-c % m for c in t]  # the last stays nonzero
-        return CoeffElem(self.spec, tuple(neg), _clean=True)
+        spec = self.spec
+        return CoeffElem(spec, spec.canon(spec.bias - self.value), _clean=True)
 
     def __sub__(self, other: "CoeffElem") -> "CoeffElem":
         self._check(other)
-        out = [x - y for x, y in zip_longest(self.terms, other.terms, fillvalue=0)]
-        return CoeffElem(self.spec, _canonical(self.spec, out), _clean=True)
+        spec = self.spec
+        return CoeffElem(spec, spec.canon(self.value + spec.bias - other.value), _clean=True)
 
     def __mul__(self, other: "CoeffElem") -> "CoeffElem":
-        self._check(other)
-        spec, a, b = self.spec, self.terms, other.terms
-        if not a or not b:
-            return CoeffElem(spec, (), _clean=True)
-        width = min(spec.width, len(a) + len(b) - 1)
-        return CoeffElem(spec, _canonical(spec, convolve(a, b, width)), _clean=True)
-
-    def scale(self, k: int) -> "CoeffElem":
+        self._check(other)  # a slot sums at most D < 2^32 products: no check_room
         spec = self.spec
-        return CoeffElem(spec, _canonical(spec, [c * k for c in self.terms]), _clean=True)
+        return CoeffElem(spec, spec.canon(self.value * other.value), _clean=True)
 
     def invert(self) -> "CoeffElem":
         """Multiplicative inverse, exact in the truncated ring.
@@ -246,7 +234,7 @@ class CoeffElem:
                 raise NotAUnit("only +-1 are invertible over exact integers")
             return self
         inv0 = CoeffElem.from_int(spec, pow(c0, -1, spec.modulus))
-        if len(self.terms) == 1:
+        if self.value == c0:  # no u-part: the stored int is the constant
             return inv0
         # a = c0 (1 - w) with w supported in u-degree >= 1, so w^D = 0.
         w = CoeffElem.one(spec) - self * inv0
@@ -263,7 +251,7 @@ class CoeffElem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffElem):
             return NotImplemented
-        return self.terms == other.terms and (self.spec is other.spec or self.spec == other.spec)
+        return self.value == other.value and (self.spec is other.spec or self.spec == other.spec)
 
     def __repr__(self) -> str:
         bits = [str(c) if i == 0 else f"{c}*u1" if i == 1 else f"{c}*u1^{i}"

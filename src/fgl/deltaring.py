@@ -11,10 +11,11 @@ product rules for delta are theorems, checked here on random samples rather
 than assumed. psi is a substitution of the psi images; the ring keeps one
 table of their powers for its lifetime, so each power is formed once.
 
-The sheaf evaluation realizes, for a base ring S and a Frobenius power r,
-the completed tensor A (x) S with the map psi^r (x) Id_S; composing two
-evaluations multiplies the Frobenius powers, which is the functoriality this
-module exists to exhibit.
+The sheaf evaluation realizes, for a Frobenius power r, the map
+psi^r (x) Id_S on the completed tensor A (x) S; it is fixed by the psi^r
+images of the generators, whatever the base ring S, so only r is given.
+Composing two evaluations multiplies the Frobenius powers, which is the
+functoriality this module exists to exhibit.
 """
 
 from __future__ import annotations
@@ -242,7 +243,6 @@ class SheafValue:
     """A (x) S with the map psi^r (x) Id_S, given by generator images."""
 
     ring: DeltaRing
-    base: object  # FiniteAlgebra or CoeffRingSpec
     frobenius_power: int
     generator_images: dict[str, TruncSeries]
 
@@ -253,19 +253,15 @@ class SheafValue:
         """self after other: Frobenius powers add."""
         images = {g: self.ring.psi_power(img, self.frobenius_power)
                   for g, img in other.generator_images.items()}
-        return SheafValue(
-            ring=self.ring, base=self.base,
-            frobenius_power=self.frobenius_power + other.frobenius_power,
-            generator_images=images,
-        )
+        return SheafValue(self.ring, self.frobenius_power + other.frobenius_power, images)
 
 
-def sheaf_eval(ring: DeltaRing, base, r: int) -> SheafValue:
-    """Evaluate the deformation sheaf of ``ring`` on (base, Frob^r)."""
+def sheaf_eval(ring: DeltaRing, r: int) -> SheafValue:
+    """Evaluate the deformation sheaf of ``ring`` on Frob^r."""
     if r < 0:
         raise ValueError("Frobenius power must be >= 0")
     images = {g: ring.psi_power(ring.var(g), r) for g in ring.generators}
-    return SheafValue(ring=ring, base=base, frobenius_power=r, generator_images=images)
+    return SheafValue(ring, r, images)
 
 
 def congruence_check(ring: DeltaRing, base_spec: CoeffRingSpec,

@@ -21,7 +21,10 @@ ring operations and by divisions by integers whose prime-to-p part divides
 exactly, so no value ever leaves Z[1/p]. Every coefficient of the resulting
 law must come back to scale 0 on its own before it is reduced into the
 target ring; this is checked, and a failure is an ``IntegralityFailure``
-naming the coefficient (a bug, not a user error).
+naming the coefficient (a bug, not a user error). These lists are the
+builder's own, with their own truncated product ``_convolve``: a coefficient
+enters the ring's stored form only once, as a ``CoeffElem`` of the finished
+law.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coeffring import CoeffElem, CoeffRingSpec, convolve
+from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import (
     IntegralityFailure,
     NonNilpotentArgument,
@@ -168,6 +171,16 @@ def additive_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
 Scaled = tuple[list[int], int]
 
 
+def _convolve(a: list[int], b: list[int], width: int) -> list[int]:
+    """The coefficients of u^0..u^(width-1) in a * b, for coefficient lists by u-degree."""
+    out = [0] * width
+    for i, x in enumerate(a[:width]):
+        if x:
+            for k, y in enumerate(b[:width - i], i):
+                out[k] += x * y
+    return out
+
+
 def _strip(ints: list[int], s: int, p: int) -> Scaled:
     """Move every power of p dividing all of ``ints`` out of the scale."""
     if s:
@@ -186,7 +199,7 @@ def _strip(ints: list[int], s: int, p: int) -> Scaled:
 
 def _mul(a: Scaled, b: Scaled, p: int) -> Scaled:
     """Product truncated at u^width: convolve the ints, add the scales."""
-    return _strip(convolve(a[0], b[0], len(a[0])), a[1] + b[1], p)
+    return _strip(_convolve(a[0], b[0], len(a[0])), a[1] + b[1], p)
 
 
 def _lincomb(terms: list[tuple[int, Scaled]], p: int, width: int) -> Scaled:
@@ -285,7 +298,7 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
                     right = acc.get((a, b - j) if a <= b - j else (b - j, a))
                     src = [x + y for x, y in zip(left, right)] if left and right else left or right
                     if src:
-                        terms.append(convolve(c, src, width))
+                        terms.append(_convolve(c, src, width))
                 if terms:
                     out[(a, b)] = [sum(col) for col in zip(*terms)]
         acc, A = out, A + sigma

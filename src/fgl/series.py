@@ -8,12 +8,12 @@ identities computed here are exact images of identities over the untruncated
 ring. ``cap=None`` disables degree truncation and is used where elements are
 honest polynomials (finite algebras, delta-rings).
 
-Each term's coefficient is one int in the stored form of its ring
-(``CoeffRingSpec.pack``: the coefficient itself without u, the packed
-u-polynomial with u); ``CoeffElem`` is the scalar type only at the edges
-(the constructor, ``coefficient``, ``constant_term``, ``scale``). A sum,
-difference or negation of terms is ``spec.canon`` of a + b, a + bias - b or
-bias - a.
+Each term's coefficient is one int in the stored form of its ring (the
+coefficient itself without u, the packed u-polynomial with u; see
+``fgl.coeffring``), the ``value`` of a ``CoeffElem``, so a coefficient
+enters and leaves a series without conversion. A sum, difference or
+negation of terms is ``spec.canon`` of a + b, a + bias - b or bias - a, as
+in ``CoeffElem``.
 
 The one product kernel sums A*B over pairs of term dicts (a product is one
 pair) keyed by one int per exponent, as in Monagan and Pearce's packed
@@ -74,7 +74,7 @@ class TruncSeries:
             for expo, c in terms.items():
                 if len(expo) != len(self.variables):
                     raise SpecMismatch(f"exponent {expo} has wrong arity")
-                if (cap is None or sum(expo) < cap) and (v := spec.pack(c.terms)):
+                if (cap is None or sum(expo) < cap) and (v := c.value):
                     clean[expo] = v
             self.terms = clean
 
@@ -86,7 +86,7 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, spec, variables, cap, value: CoeffElem) -> "TruncSeries":
-        v = spec.pack(value.terms)
+        v = value.value
         return cls(spec, variables, cap, {(0,) * len(variables): v} if v else {}, _clean=True)
 
     @classmethod
@@ -97,7 +97,7 @@ class TruncSeries:
     def variable(cls, spec, variables, cap, name: str) -> "TruncSeries":
         i = tuple(variables).index(name)
         expo = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(spec, variables, cap, {expo: spec.pack((1,))}, _clean=True)
+        return cls(spec, variables, cap, {expo: 1}, _clean=True)  # 1 is stored as 1
 
     # -- views -----------------------------------------------------------
 
@@ -117,8 +117,7 @@ class TruncSeries:
         return self.coefficient((0,) * len(self.variables))
 
     def coefficient(self, expo: Expo) -> CoeffElem:
-        spec = self.spec
-        return CoeffElem(spec, spec.unpack(self.terms.get(tuple(expo), 0)), _clean=True)
+        return CoeffElem(self.spec, self.terms.get(tuple(expo), 0), _clean=True)
 
     def coefficient_of_degree(self, degree: int) -> CoeffElem:
         """Univariate only: the coefficient of x^degree."""
@@ -169,7 +168,7 @@ class TruncSeries:
     def scale(self, value: CoeffElem) -> "TruncSeries":
         spec, terms = self.spec, {}
         for expo, c in self.terms.items():
-            if v := spec.pack((CoeffElem(spec, spec.unpack(c), _clean=True) * value).terms):
+            if v := (CoeffElem(spec, c, _clean=True) * value).value:
                 terms[expo] = v
         return TruncSeries(spec, self.variables, self.cap, terms, _clean=True)
 

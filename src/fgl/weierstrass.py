@@ -129,37 +129,15 @@ class WeierstrassFactorization:
     degree: int
 
 
-def _require_univariate(f: TruncSeries) -> None:
+def weierstrass_prepare(f: TruncSeries) -> WeierstrassFactorization:
+    """``prepare`` of a univariate f in E0[x]/(x^T), T its degree cap."""
+    from .grouprings import FiniteAlgebra
+
     if len(f.variables) != 1:
         raise SpecMismatch("Weierstrass operations need univariate series")
     if f.cap is None:
         raise SpecMismatch("Weierstrass operations need a finite degree cap")
-
-
-def _series_ring(f: TruncSeries):
-    """E0[x]/(x^T) for the series ring of f, T its degree cap."""
-    from .grouprings import FiniteAlgebra
-
-    return FiniteAlgebra(f.spec, (), [], ()).adjoin(f.variables[0], f.cap)
-
-
-def weierstrass_degree(f: TruncSeries) -> int:
-    """Smallest d whose x^d coefficient is a unit mod (p, u-variables)."""
-    _require_univariate(f)
-    return degree_of_first_unit(f, f.cap)
-
-
-def weierstrass_divide(f: TruncSeries, g: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
-    _require_univariate(f)
-    _require_univariate(g)
-    if f.spec != g.spec or f.variables != g.variables or f.cap != g.cap:
-        raise SpecMismatch("dividend and divisor live in different series rings")
-    q, r = divide(f.rename(f.variables, None), g.rename(g.variables, None), _series_ring(f))
-    return q.rename(f.variables, f.cap), r.rename(f.variables, f.cap)
-
-
-def weierstrass_prepare(f: TruncSeries) -> WeierstrassFactorization:
-    _require_univariate(f)
-    unit, dist, d = prepare(f.rename(f.variables, None), _series_ring(f))
+    ring = FiniteAlgebra(f.spec, (), [], ()).adjoin(f.variables[0], f.cap)
+    unit, dist, d = prepare(f.rename(f.variables, None), ring)
     return WeierstrassFactorization(unit=unit.rename(f.variables, f.cap),
                                     distinguished=dist.rename(f.variables, f.cap), degree=d)

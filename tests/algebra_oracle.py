@@ -3,8 +3,9 @@
 The rescanning loop: in each variable, from the highest down, it picks a
 term of highest degree at or above the lead degree, subtracts the matching
 multiple of the whole relation, and scans every term again. It relies on
-nothing but the monic lead term, and it multiplies and adds ``CoeffElem``
-values read with ``sorted_terms``, so the one top-down sweep of stored ints in
+nothing but the monic lead term, and it multiplies and subtracts the
+coefficient tuples read with ``sorted_terms`` by ``coeff_oracle``, never by
+``spec.canon``. So the one top-down sweep of stored ints in
 ``FiniteAlgebra.reduce``, which relies on the triangular shape its
 constructor checks, is compared against it.
 
@@ -16,6 +17,7 @@ compared against it.
 
 from __future__ import annotations
 
+import coeff_oracle
 from fgl.coeffring import CoeffElem
 from fgl.series import TruncSeries
 
@@ -24,15 +26,16 @@ def reduce(self, f: TruncSeries) -> TruncSeries:
     """``self`` is a FiniteAlgebra; the representative on its monomial basis."""
     if f.variables != self.variables:
         f = f.rename(self.variables, cap=None)
-    terms = dict(f.sorted_terms())
+    terms = {e: c.terms for e, c in f.sorted_terms()}
     for j in range(len(self.variables) - 1, -1, -1):
         terms = _reduce_in_var(self, terms, j)
-    return TruncSeries(self.spec, self.variables, None, terms)
+    return TruncSeries(self.spec, self.variables, None,
+                       {e: CoeffElem(self.spec, c) for e, c in terms.items()})
 
 
 def _reduce_in_var(self, terms: dict, j: int) -> dict:
-    d = self.lead_degrees[j]
-    rel = dict(self.relations[j].sorted_terms())
+    spec, d = self.spec, self.lead_degrees[j]
+    rel = {e: c.terms for e, c in self.relations[j].sorted_terms()}
     while True:
         cand = None
         for expo in terms:
@@ -46,15 +49,14 @@ def _reduce_in_var(self, terms: dict, j: int) -> dict:
         # subtract c * x^shift * relation; the monic lead cancels cand
         for rexpo, rc in rel.items():
             key = tuple(a + b for a, b in zip(shift, rexpo))
-            prod = rc * c
-            if prod.is_zero():
+            prod = coeff_oracle.mul(spec, rc, c)
+            if not prod:
                 continue
-            cur = terms.get(key)
-            s = (-prod) if cur is None else cur - prod
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
+            s = coeff_oracle.sub(spec, terms.get(key, ()), prod)
+            if s:
                 terms[key] = s
+            else:
+                terms.pop(key, None)
 
 
 def coordinates(self, f: TruncSeries) -> list[CoeffElem]:

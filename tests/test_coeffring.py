@@ -1,11 +1,15 @@
+import ast
+import pathlib
 import pickle
 import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coeff_oracle
+import fgl
 from fgl.coeffring import SLOT_ROOM_BITS, CoeffElem, CoeffRingSpec
 from fgl.errors import NotAUnit, SpecMismatch
 
@@ -29,6 +33,9 @@ def test_spec_validation():
         CoeffRingSpec(p=2, p_precision=None, deformation_params=1, u_degree_cap=2)
     with pytest.raises(ValueError):
         CoeffRingSpec(p=2, p_precision=3, deformation_params=2, u_degree_cap=2)
+    # a slot of one product sums D products: D < 2^32 leaves it room (no spec so big is built)
+    with pytest.raises(ValueError, match="u_degree_cap must be < 2"):
+        CoeffRingSpec(p=2, p_precision=3, deformation_params=1, u_degree_cap=2 ** SLOT_ROOM_BITS)
 
 
 def test_add_reduces_mod_p_power():
@@ -42,7 +49,7 @@ def test_add_identity():
 
 def test_add_u_coefficients_cancel_mod_9():
     u = CoeffElem.u_var(Z3_2_U)
-    assert u.scale(4) + u.scale(5) == CoeffElem.zero(Z3_2_U)
+    assert u * C(Z3_2_U, 4) + u * C(Z3_2_U, 5) == CoeffElem.zero(Z3_2_U)
 
 
 def test_mul_identity():
@@ -152,10 +159,11 @@ def test_canonical_representatives():
 def test_dense_layout_and_json():
     a = CoeffElem(Z3_2_U, [4, 9, 5])  # 9 = 0 mod 9, and u^2 = 0
     assert a.terms == (4,) and CoeffElem.zero(Z3_2_U).terms == ()
+    assert a.value == 4 and CoeffElem.zero(Z3_2_U).value == 0  # the stored ints
     u = CoeffElem.u_var(Z3_2_U)
-    assert (u.scale(2) + C(Z3_2_U, 3)).to_json() == {
+    assert (u * C(Z3_2_U, 2) + C(Z3_2_U, 3)).to_json() == {
         "monomials": [{"exps": [0], "coeff": "3"}, {"exps": [1], "coeff": "2"}]}
-    assert repr(u.scale(2) + C(Z3_2_U, 3)) == "3 + 2*u1"
+    assert repr(u * C(Z3_2_U, 2) + C(Z3_2_U, 3)) == "3 + 2*u1"
     assert C(ZEXACT2, -6).to_json() == {"monomials": [{"exps": [], "coeff": "-6"}]}
     assert repr(CoeffElem.zero(ZEXACT2)) == "0"
 
@@ -182,13 +190,18 @@ def sympy_reduced(spec, expr) -> tuple:
     return tuple(out)
 
 
+INTS = st.lists(st.integers(-10 ** 4, 10 ** 4), max_size=5)  # D + 1 for every spec here
+# every coefficient p^N - 1 at full length D: the fullest slot of a product of stored ints
+TOP = {spec: [spec.modulus - 1] * spec.width for spec in SYMPY_SPECS[:2]}
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.sampled_from(SYMPY_SPECS), st.data())
-def test_arithmetic_against_sympy(spec, data):
+@given(st.sampled_from(SYMPY_SPECS), INTS, INTS)
+@example(Z3_2_U, TOP[Z3_2_U], TOP[Z3_2_U])
+@example(SYMPY_SPECS[1], TOP[SYMPY_SPECS[1]], TOP[SYMPY_SPECS[1]])
+def test_arithmetic_against_sympy(spec, xs, ys):
     # one u: lists up to D + 1 long, so the entry at u^D is dropped; no u: at most 1
-    ints = st.lists(st.integers(-10 ** 4, 10 ** 4),
-                    max_size=spec.width + 1 if spec.deformation_params else 1)
-    xs, ys = data.draw(ints), data.draw(ints)
+    xs, ys = (t[:spec.width + 1 if spec.deformation_params else 1] for t in (xs, ys))
     a, b = CoeffElem(spec, xs), CoeffElem(spec, ys)
     pa = sum((c * U ** i for i, c in enumerate(xs)), sympy.Integer(0))
     pb = sum((c * U ** i for i, c in enumerate(ys)), sympy.Integer(0))
@@ -226,8 +239,28 @@ def test_mask_canon_is_the_slotwise_reduction(spec):
     for _ in range(100):  # a + bias - b and bias - a over canonical a and b
         a, b = (CoeffElem(spec, [rng.randrange(spec.modulus) for _ in range(spec.width)])
                 for _ in range(2))
-        pa, pb = spec.pack(a.terms), spec.pack(b.terms)
+        pa, pb = a.value, b.value
         assert spec.canon(pa + spec.bias - pb) == slotwise(spec, pa + spec.bias - pb)
-        assert spec.unpack(spec.canon(pa + spec.bias - pb)) == (a - b).terms
-        assert spec.unpack(spec.canon(spec.bias - pa)) == (-a).terms
+        assert spec.unpack(spec.canon(pa + spec.bias - pb)) == coeff_oracle.sub(
+            spec, a.terms, b.terms)
+        assert spec.unpack(spec.canon(spec.bias - pa)) == coeff_oracle.sub(spec, (), a.terms)
         assert copy.canon(spec.bias - pa) == spec.canon(spec.bias - pa)
+
+
+# -- the stored form's boundary -------------------------------------------------
+
+
+def test_only_coeffring_packs_and_unpacks():
+    # every other module keeps a coefficient as a stored int or a CoeffElem's
+    # value, so none converts; the list product is the law builder's own
+    found = []
+    for path in sorted(pathlib.Path(fgl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "coeffring.py":
+            found += [f"coeffring.py:{node.lineno} def {node.name}" for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "convolve"]
+            continue
+        found += [f"{path.name}:{node.lineno} .{node.func.attr}(" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("pack", "unpack")]
+    assert found == []

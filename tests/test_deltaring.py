@@ -150,13 +150,13 @@ def test_parse_delta_ring():
 
 def test_sheaf_eval_r0_is_identity():
     ring = make_zt(2)
-    sv = sheaf_eval(ring, F2, 0)
+    sv = sheaf_eval(ring, 0)
     assert sv.apply_to_generator("t") == ring.var("t")
 
 
 def test_sheaf_eval_r2_squares_twice():
     ring = make_zt(2)
-    sv = sheaf_eval(ring, CoeffRingSpec(p=2, p_precision=4), 2)
+    sv = sheaf_eval(ring, 2)
     t = ring.var("t")
     assert sv.apply_to_generator("t") == t * t * t * t  # t^(p^2)
 
@@ -166,9 +166,9 @@ def test_sheaf_composition_law_random_pairs():
     ring = make_zt(2)
     for _ in range(10):
         r1, r2 = rng.randrange(0, 4), rng.randrange(0, 4)
-        sv1 = sheaf_eval(ring, F2, r1)
-        sv2 = sheaf_eval(ring, F2, r2)
-        direct = sheaf_eval(ring, F2, r1 + r2)
+        sv1 = sheaf_eval(ring, r1)
+        sv2 = sheaf_eval(ring, r2)
+        direct = sheaf_eval(ring, r1 + r2)
         composed = sv1.compose(sv2)
         assert composed.frobenius_power == direct.frobenius_power
         for g in ring.generators:
@@ -178,7 +178,7 @@ def test_sheaf_composition_law_random_pairs():
 def test_sheaf_eval_height_one_identity():
     # over the height-1 exact base with r = 1 the assigned map is psi itself
     ring = make_zt(2)
-    sv = sheaf_eval(ring, CoeffRingSpec(p=2, p_precision=None), 1)
+    sv = sheaf_eval(ring, 1)
     for g in ring.generators:
         assert sv.apply_to_generator(g) == ring.psi_images[g]
 

@@ -13,8 +13,6 @@ from fgl.weierstrass import (
     degree_of_first_unit,
     divide,
     prepare,
-    weierstrass_degree,
-    weierstrass_divide,
     weierstrass_prepare,
 )
 
@@ -31,51 +29,57 @@ def poly(spec, cap, terms):
     )
 
 
+def series_ring(spec, cap):
+    """E0[x]/(x^T) at T = cap, where series in x are divided."""
+    return FiniteAlgebra(spec, (), [], ()).adjoin("x", cap)
+
+
 def test_degree_of_two_series_multiplicative():
     law = multiplicative_law(ZX2, 8)
     two = law.n_series(2).series  # x^2 + 2x
-    assert weierstrass_degree(two) == 2
+    assert degree_of_first_unit(two, 8) == 2
 
 
 def test_degree_of_x():
-    assert weierstrass_degree(poly(ZX2, 8, {1: 1})) == 1
+    assert degree_of_first_unit(poly(ZX2, 8, {1: 1}), 8) == 1
 
 
 def test_degree_no_unit():
     with pytest.raises(NoUnitCoefficient):
-        weierstrass_degree(poly(ZX2, 8, {1: 2}))  # p*x, never a unit
+        degree_of_first_unit(poly(ZX2, 8, {1: 2}), 8)  # p*x, never a unit
 
 
 def test_divide_by_self():
-    f = poly(Z2_4, 8, {1: 2, 2: 1})
-    q, r = weierstrass_divide(f, f)
-    assert q == TruncSeries.one(Z2_4, ("x",), 8)
+    f, ring = poly(Z2_4, None, {1: 2, 2: 1}), series_ring(Z2_4, 8)
+    q, r = divide(f, f, ring)
+    assert q == ring.one()
     assert r.is_zero()
 
 
 def test_divide_zero():
-    g = poly(Z2_4, 8, {1: 2, 2: 1})
-    q, r = weierstrass_divide(TruncSeries.zero(Z2_4, ("x",), 8), g)
+    g, ring = poly(Z2_4, None, {1: 2, 2: 1}), series_ring(Z2_4, 8)
+    q, r = divide(ring.zero(), g, ring)
     assert q.is_zero() and r.is_zero()
 
 
 def test_divide_x_cubed_by_x2_plus_2x():
     # oracle: exact long division over Z gives x^3 = (x - 2)(x^2 + 2x) + 4x,
     # then reduce q and r mod 2^4
-    f = poly(Z2_4, 8, {3: 1})
-    g = poly(Z2_4, 8, {1: 2, 2: 1})
-    q, r = weierstrass_divide(f, g)
-    assert q == poly(Z2_4, 8, {0: -2, 1: 1})
-    assert r == poly(Z2_4, 8, {1: 4})
-    assert q * g + r == f
+    f = poly(Z2_4, None, {3: 1})
+    g = poly(Z2_4, None, {1: 2, 2: 1})
+    ring = series_ring(Z2_4, 8)
+    q, r = divide(f, g, ring)
+    assert q == poly(Z2_4, None, {0: -2, 1: 1})
+    assert r == poly(Z2_4, None, {1: 4})
+    assert ring.mul(q, g) + r == f
 
 
 def test_divide_x_cubed_exact_integers():
-    f = poly(ZX2, 8, {3: 1})
-    g = poly(ZX2, 8, {1: 2, 2: 1})
-    q, r = weierstrass_divide(f, g)
-    assert q == poly(ZX2, 8, {0: -2, 1: 1})
-    assert r == poly(ZX2, 8, {1: 4})
+    f = poly(ZX2, None, {3: 1})
+    g = poly(ZX2, None, {1: 2, 2: 1})
+    q, r = divide(f, g, series_ring(ZX2, 8))
+    assert q == poly(ZX2, None, {0: -2, 1: 1})
+    assert r == poly(ZX2, None, {1: 4})
 
 
 def test_prepare_two_series_is_already_distinguished():
@@ -189,7 +193,7 @@ def test_exact_division_stops_at_the_proved_bound(monkeypatch):
     # 2-adically, so no step repeats; over Z at T = 8 the bound is R T + 1 = 9
     calls = counted_steps(monkeypatch)
     with pytest.raises(NonConvergence) as info:
-        weierstrass_divide(poly(ZX2, 8, {7: 1}), poly(ZX2, 8, {0: 2, 1: 1, 2: 1}))
+        divide(poly(ZX2, None, {7: 1}), poly(ZX2, None, {0: 2, 1: 1, 2: 1}), series_ring(ZX2, 8))
     assert len(calls) - 1 == 9
     assert "bound of 9 iterations" in str(info.value)
     assert "p=2, N=None, D=1, T=8" in str(info.value)
@@ -215,14 +219,9 @@ def test_division_over_a_non_local_algebra_stops_at_the_proved_bound(monkeypatch
 def test_front_end_rejects_non_univariate_or_uncapped_series():
     bivariate = TruncSeries.variable(Z2_4, ("x", "y"), 8, "x")
     with pytest.raises(SpecMismatch):
-        weierstrass_degree(bivariate)
+        weierstrass_prepare(bivariate)
     with pytest.raises(SpecMismatch):
         weierstrass_prepare(TruncSeries.variable(Z2_4, ("x",), None, "x"))
-
-
-def test_divide_rejects_different_series_rings():
-    with pytest.raises(SpecMismatch):
-        weierstrass_divide(poly(Z2_4, 8, {3: 1}), poly(Z2_4, 9, {1: 2, 2: 1}))
 
 
 def test_prepare_not_distinguished_is_internal_inconsistency(monkeypatch):

@@ -16,7 +16,6 @@ from .grouprings import (
 )
 from .laws import (
     FormalGroupLaw,
-    NSeries,
     additive_law,
     honda_law,
     lubin_tate_height2_law,

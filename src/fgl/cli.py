@@ -165,9 +165,8 @@ def _dispatch(command: str, job: dict) -> dict:
     if command == "series":
         law = _build_law(job)
         m = int(job.get("m", 1))
-        series = law.n_series(m).series
         return {"command": command, "law": law.name, "p": law.spec.p, "m": m,
-                "trunc": law.cap, "series": series.to_json()}
+                "trunc": law.cap, "series": law.n_series(m).to_json()}
     if command == "check-axioms":
         law = _build_law(job)
         axioms = law.check_axioms()
@@ -181,7 +180,7 @@ def _dispatch(command: str, job: dict) -> dict:
         if pprec is not None and pprec <= M:
             warning = (f"p-precision {pprec} cannot distinguish p^{M} from 0; "
                        "valuation claims are vacuous")
-        fact = weierstrass_prepare(law.n_series(law.spec.p ** M).series)
+        fact = weierstrass_prepare(law.n_series(law.spec.p ** M))
         out = {"command": command, "law": law.name, "p": law.spec.p, "M": M,
                "degree": fact.degree, "unit": fact.unit.to_json(),
                "distinguished": fact.distinguished.to_json()}
@@ -245,7 +244,7 @@ def _dispatch(command: str, job: dict) -> dict:
                 left = values[r1].compose(values[r2])
                 right = values[r1 + r2]
                 comp_ok = comp_ok and all(
-                    left.apply_to_generator(g) == right.apply_to_generator(g)
+                    left.generator_images[g] == right.generator_images[g]
                     for g in ring.generators
                 )
         rng = random.Random(int(job.get("seed", 0)))
@@ -255,7 +254,7 @@ def _dispatch(command: str, job: dict) -> dict:
         chains_ok = frobenius_chain_check(ring, 2, cyclic_chains(2))["passed"] and \
             frobenius_chain_check(ring, 2, elementary_rank2_chains(ring.p))["passed"]
         return {"command": command, "ring": str(job["ring"]), "r": r,
-                "generator_images": {g: sv.apply_to_generator(g).to_json()
+                "generator_images": {g: sv.generator_images[g].to_json()
                                      for g in ring.generators},
                 "composition_law": comp_ok, "congruence": cong["passed"],
                 "chains": chains_ok,

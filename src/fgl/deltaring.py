@@ -246,9 +246,6 @@ class SheafValue:
     frobenius_power: int
     generator_images: dict[str, TruncSeries]
 
-    def apply_to_generator(self, g: str) -> TruncSeries:
-        return self.generator_images[g]
-
     def compose(self, other: "SheafValue") -> "SheafValue":
         """self after other: Frobenius powers add."""
         images = {g: self.ring.psi_power(img, self.frobenius_power)

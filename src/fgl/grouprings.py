@@ -38,30 +38,32 @@ Elements of a :class:`FiniteAlgebra` are cap-free polynomials on the
 monomial basis. Its constructor checks the triangular shape: relation j is
 x_j^(d_j) plus terms of lower x_j-degree in x_1..x_j only. So reduction,
 which substitutes the tail (the non-lead terms, negated) for x_j^(d_j), is
-one sweep per variable, from the highest variable down and, in each, from
-the top degree down: no rewrite brings back a later variable or a degree
-already swept.
+one sweep per variable, from the highest variable down, and each sweep is
+dense along its variable: the terms lie in rows c[0..top], one row per tuple
+of the other exponents, and for k from the top down to d_j, in every row
+that exists at that step, canon(c[k]) t is added into c'[k - d_j + i] for
+each tail term t x_j^i x^s, c' being the row shifted by s (the row itself
+when s = 0, made if missing). A row made at step k gets entries only below
+k, and no rewrite brings back a later variable or a degree already swept.
+In one variable (a cyclic ambient, a stage ring ``E0.adjoin(x, T)``) there
+is one row.
 
 The sweep keeps one int per monomial in the stored form of the series
 (``CoeffRingSpec.pack``); the tails are stored once that way, negated. It
-multiplies stored ints directly, and a term is canonicalized (``spec.canon``)
-when popped and, if it survives, once at the end. No slot carries. In the
-sweep of x_j a monomial gets at most |tail_j| products: the popped exponent
-is fixed by the monomial and the tail term, and a popped degree never comes
-back in its own sweep. So a slot holds a canonical coefficient plus at most
-sum_j |tail_j| products of two stored ints, at most D (1 + sum_j |tail_j|)
-products of coefficients below p^N; the constructor checks that room with
-``spec.check_room``.
-
-In one variable (a cyclic ambient, a stage ring ``E0.adjoin(x, T)``) the
-sweep is dense: for k from the top down it adds canon(c[k]) t into
-c[k - d + i] for each tail pair (i, t), with no dict scan per degree and no
-exponent tuple per tail term; the count above holds as it stands.
+multiplies stored ints directly, and a coefficient is canonicalized
+(``spec.canon``) when its degree is swept and, if it survives, once at the
+end. No slot carries. In the sweep of x_j a monomial gets at most |tail_j|
+products: the swept exponent is fixed by the monomial and the tail term,
+and a swept degree never comes back in its own sweep. So a slot holds a
+canonical coefficient plus at most sum_j |tail_j| products of two stored
+ints, at most D (1 + sum_j |tail_j|) products of coefficients below p^N;
+the constructor checks that room with ``spec.check_room``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add, ge
 
@@ -146,9 +148,9 @@ class FiniteAlgebra:
                     f"{label or 'finite algebra'}: relation {j + 1} is not "
                     f"{self.variables[j]}^{d} plus terms of lower degree in "
                     f"{', '.join(self.variables[:j + 1])} ({spec.precision_label(None)})")
-            self._tails.append(tail)
-        if len(self.variables) == 1:  # the dense sweep reads (i, t) pairs
-            self._tails = [[(i, t) for (i,), t in self._tails[0]]]
+            # (i, shift, t): x_j^i times the other exponents, None when all are 0
+            self._tails.append([(e[j], e[:j] + e[j + 1:] if any(e[:j]) else None, t)
+                                for e, t in tail])
 
     def adjoin(self, x: str, degree: int, relation: TruncSeries | None = None,
                label: str = "") -> "FiniteAlgebra":
@@ -203,29 +205,28 @@ class FiniteAlgebra:
         return TruncSeries(self.spec, self.variables, None, terms, _clean=True)
 
     def _sweep(self, terms: dict) -> dict:
-        """The reduction sweep of the module docstring on stored ints, ``terms``
-        consumed: c x^e with e_j = k >= d_j becomes c x^(e - d_j e_j) tail_j."""
+        """The reduction sweep of the module docstring on stored ints: c x^e
+        with e_j = k >= d_j becomes c x^(e - d_j e_j) tail_j."""
         canon = self.spec.canon
-        if len(self.variables) == 1:
-            (d,), tail = self.lead_degrees, self._tails[0]
-            c = [0] * (1 + max((e for e, in terms), default=0))
-            for (e,), v in terms.items():
-                c[e] = v
-            for k in range(len(c) - 1, d - 1, -1):
-                if v := canon(c[k]):
-                    for i, t in tail:
-                        c[k - d + i] += v * t
-            return {(e,): v for e, v in enumerate(c[:d]) if v}
         for j in range(len(self.variables) - 1, -1, -1):
             d, tail = self.lead_degrees[j], self._tails[j]
-            for k in range(max((expo[j] for expo in terms), default=0), d - 1, -1):
-                for expo in [e for e in terms if e[j] == k]:
-                    c = canon(terms.pop(expo))
-                    if c:
-                        shift = expo[:j] + (k - d,) + expo[j + 1:]
-                        for texpo, tc in tail:
-                            key = tuple(map(add, shift, texpo))
-                            terms[key] = terms.get(key, 0) + c * tc
+            top = max((e[j] for e in terms), default=0)
+            if top < d:
+                continue
+            # the other exponents -> the dense x_j coefficients c[0..top]
+            rows = defaultdict(lambda: [0] * (top + 1))
+            for e, v in terms.items():
+                rows[e[:j] + e[j + 1:]][e[j]] = v
+            for k in range(top, d - 1, -1):
+                for rest, row in list(rows.items()):
+                    if v := canon(row[k]):
+                        for i, shift, t in tail:
+                            if shift is None:
+                                row[k - d + i] += v * t
+                            else:  # a mixed term lands in the row rest + shift
+                                rows[tuple(map(add, rest, shift))][k - d + i] += v * t
+            terms = {rest[:j] + (i,) + rest[j:]: v
+                     for rest, row in rows.items() for i, v in enumerate(row[:d]) if v}
         return terms
 
     def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -236,9 +237,8 @@ class FiniteAlgebra:
         if self.spec.width != 1:
             raise ModeError("integer coordinates need coefficients without u "
                             f"({self.spec.precision_label(None)})")
-        f = f.rename(self.variables, None)
-        red, canon = self._sweep(dict(f.terms)), self.spec.canon
-        return [canon(red.get(b, 0)) for b in self.basis()]
+        terms = self.reduce(f).terms
+        return [terms.get(b, 0) for b in self.basis()]
 
     def integer_matrix(self, f: TruncSeries) -> list[list[int]]:
         """Multiplication by f on ``basis()``, column a the coordinates of f x^a;
@@ -362,7 +362,7 @@ def level_ring(law: FormalGroupLaw, gtype: AbelianPType) -> FiniteAlgebra:
     alg = FiniteAlgebra(spec, (), [], ())
     for j, x in enumerate(_variables(gtype.rank), 1):
         ring = alg.adjoin(x, law.cap)
-        denom = (law.n_series(p ** (m - 1)).series.rename(ring.variables, None, {"x": x})
+        denom = (law.n_series(p ** (m - 1)).rename(ring.variables, None, {"x": x})
                  if j == 1 else _denominator_product(law, ring))
         # the denominator has Weierstrass degree p^((m-1) n) at stage 1, p^(j-1) after
         expected = p ** (m * n) - p ** ((m - 1) * n + j - 1)
@@ -394,7 +394,7 @@ def _stage_relation(law: FormalGroupLaw, ring: FiniteAlgebra, m: int,
         raise TruncationTooSmall(
             f"{stage}: cap {cap} cannot resolve the degree {m ** law.height_hint} "
             f"of [{m}]({x}) ({params})")
-    f = law.n_series(m).series.rename(ring.variables, None, {"x": x})
+    f = law.n_series(m).rename(ring.variables, None, {"x": x})
     if denominator is not None:
         f, r = w_divide(f, denominator, ring)
         if not r.is_zero():
@@ -417,7 +417,7 @@ def character_sums(law: FormalGroupLaw, variables: tuple[str, ...],
     the zero tuple is first; each is folded from the left, sharing the
     partial sums of its prefix.
     """
-    multiples = [[law.n_series(a).series.rename(variables, law.cap, {"x": x})
+    multiples = [[law.n_series(a).rename(variables, law.cap, {"x": x})
                   for a in range(order)] for x, order in zip(variables, orders)]
     sums = multiples[0]
     for row in multiples[1:]:
@@ -467,7 +467,7 @@ def restriction_map(law: FormalGroupLaw, sub_exponent: int, super_exponent: int)
     restriction = AlgebraMap(
         big, small, {"x1": small.var(0)}, label=f"res C_p^{sub_exponent} < C_p^{super_exponent}"
     )
-    p_image = big.reduce(law.n_series(law.spec.p).series.rename(big.variables, None, {"x": "x1"}))
+    p_image = big.reduce(law.n_series(law.spec.p).rename(big.variables, None, {"x": "x1"}))
     inflation = AlgebraMap(
         small, big, {"x1": p_image}, label=f"inf C_p^{super_exponent} ->> C_p^{sub_exponent}"
     )

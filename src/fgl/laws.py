@@ -29,7 +29,6 @@ law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .coeffring import CoeffElem, CoeffRingSpec
@@ -40,14 +39,6 @@ from .errors import (
     TruncationTooSmall,
 )
 from .series import TruncSeries
-
-
-@dataclass(frozen=True)
-class NSeries:
-    """The m-th formal multiple of x: [0](x) = 0, [m](x) = F(x, [m-1](x))."""
-
-    m: int
-    series: TruncSeries
 
 
 class FormalGroupLaw:
@@ -96,11 +87,12 @@ class FormalGroupLaw:
                 inv = inv - defect
         return inv
 
-    def n_series(self, m: int) -> NSeries:
-        """[m](x), via a binary addition chain on the formal sum."""
+    def n_series(self, m: int) -> TruncSeries:
+        """[m](x), the m-th formal multiple of x: [0](x) = 0, [m](x) = F(x, [m-1](x)),
+        via a binary addition chain on the formal sum."""
         if m < 0:
-            return NSeries(m, self.formal_inverse(self.n_series(-m).series))
-        return NSeries(m, self._n_series_pos(m))
+            return self.formal_inverse(self.n_series(-m))
+        return self._n_series_pos(m)
 
     def _n_series_pos(self, m: int) -> TruncSeries:
         cached = self._nseries_cache.get(m)

@@ -60,9 +60,9 @@ def test_criterion_1_fgl_axioms_and_multiplication_chain():
         assert all(axioms.values()), (law.name, axioms)
         for _ in range(20):
             a, b = rng.randrange(0, 51), rng.randrange(0, 51)
-            sa = law.n_series(a).series
-            composed = law.n_series(b).series.subst({"x": sa})
-            assert composed == law.n_series(a * b).series, (law.name, a, b)
+            sa = law.n_series(a)
+            composed = law.n_series(b).subst({"x": sa})
+            assert composed == law.n_series(a * b), (law.name, a, b)
     report(1, "unit/commutativity/associativity and [a]([b](x)) = [ab](x) "
               "for 7 laws, 20 random pairs each, zero coefficient mismatches")
 
@@ -71,7 +71,7 @@ def test_criterion_2_weierstrass_preparation():
     for p in (2, 3):
         law = multiplicative_law(EXACT[p], p ** 3 + 2)
         for M in (1, 2, 3):
-            s = law.n_series(p ** M).series
+            s = law.n_series(p ** M)
             fact = weierstrass_prepare(s)
             assert fact.unit == TruncSeries.one(EXACT[p], ("x",), law.cap)
             assert fact.distinguished == s
@@ -80,7 +80,7 @@ def test_criterion_2_weierstrass_preparation():
             assert {e: c.constant_part() for e, c in s.sorted_terms()} == expected
     law2 = lubin_tate_height2_law(LT2, 20)
     for M in (1, 2):
-        s = law2.n_series(2 ** M).series
+        s = law2.n_series(2 ** M)
         fact = weierstrass_prepare(s)
         assert fact.degree == 2 ** (2 * M)
         assert fact.unit * fact.distinguished == s  # exact at precision
@@ -127,7 +127,7 @@ def test_criterion_4_level_rings_height_2():
     # the order-p divisor condition: [2](x_j) dies in the level ring
     for j, var in enumerate(pair.variables):
         xv = TruncSeries.variable(LT2_LEVEL, pair.variables, law.cap, var)
-        two = law.n_series(2).series.subst({"x": xv})
+        two = law.n_series(2).subst({"x": xv})
         assert pair.reduce(two).is_zero()
     report(4, "height-2 level rings have ranks 3 and 6 (p=2), all defining "
               "divisions exact, ambient relations killed")
@@ -206,7 +206,7 @@ def test_criterion_9_sheaf_functor():
         direct = sheaf_eval(ring, r1 + r2)
         assert composed.frobenius_power == direct.frobenius_power
         for g in ring.generators:
-            assert composed.apply_to_generator(g) == direct.apply_to_generator(g)
+            assert composed.generator_images[g] == direct.generator_images[g]
     for p, base_spec in ((2, CHAR_P[2]), (3, CHAR_P[3])):
         spec = CoeffRingSpec(p=p, p_precision=None)
         tt = TruncSeries.variable(spec, ("t",), None, "t")

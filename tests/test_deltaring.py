@@ -151,14 +151,14 @@ def test_parse_delta_ring():
 def test_sheaf_eval_r0_is_identity():
     ring = make_zt(2)
     sv = sheaf_eval(ring, 0)
-    assert sv.apply_to_generator("t") == ring.var("t")
+    assert sv.generator_images["t"] == ring.var("t")
 
 
 def test_sheaf_eval_r2_squares_twice():
     ring = make_zt(2)
     sv = sheaf_eval(ring, 2)
     t = ring.var("t")
-    assert sv.apply_to_generator("t") == t * t * t * t  # t^(p^2)
+    assert sv.generator_images["t"] == t * t * t * t  # t^(p^2)
 
 
 def test_sheaf_composition_law_random_pairs():
@@ -172,7 +172,7 @@ def test_sheaf_composition_law_random_pairs():
         composed = sv1.compose(sv2)
         assert composed.frobenius_power == direct.frobenius_power
         for g in ring.generators:
-            assert composed.apply_to_generator(g) == direct.apply_to_generator(g)
+            assert composed.generator_images[g] == direct.generator_images[g]
 
 
 def test_sheaf_eval_height_one_identity():
@@ -180,7 +180,7 @@ def test_sheaf_eval_height_one_identity():
     ring = make_zt(2)
     sv = sheaf_eval(ring, 1)
     for g in ring.generators:
-        assert sv.apply_to_generator(g) == ring.psi_images[g]
+        assert sv.generator_images[g] == ring.psi_images[g]
 
 
 def test_congruence_check_char_p():

@@ -218,7 +218,7 @@ def test_divisibility_shadow_order_p_points():
     # relation g2 is monic of degree 2 in x2 over the stage-1 quotient;
     # multiplying back by the denominator must land in the ideal of [2](x2):
     # equivalently, [2](x2) reduces to zero in the full level algebra
-    two = law.n_series(2).series
+    two = law.n_series(2)
     x2 = TruncSeries.variable(LT2_SMALL, alg.variables, law.cap, "x2")
     two_at_x2 = two.subst({"x": x2})
     assert alg.reduce(two_at_x2).is_zero()
@@ -282,7 +282,7 @@ def test_character_sums_order_and_values():
         for combo, got in zip(itertools.product(*map(range, orders)), sums, strict=True):
             expected = TruncSeries.zero(law.spec, variables, law.cap)
             for x, a in zip(xs, combo):
-                expected = law.formal_sum(expected, law.n_series(a).series.subst({"x": x}))
+                expected = law.formal_sum(expected, law.n_series(a).subst({"x": x}))
             assert got == expected
 
 
@@ -447,10 +447,10 @@ def one_variable_elements(draw, alg: FiniteAlgebra) -> TruncSeries:
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(one_variable_rings())), st.data())
-def test_one_variable_sweep_matches_the_oracles(name, data):
-    # over Z, Z/p^N and Z/p^N[u]/(u^D): the dense sweep against the rescanning
-    # reduction, through reduce, mul and, without u, both integer walks; the
-    # oracle's column a x^(k+1) is its reduction of x times column a x^k
+def test_sweep_in_one_variable_matches_the_oracles(name, data):
+    # over Z, Z/p^N and Z/p^N[u]/(u^D): the sweep, one dense row in one variable,
+    # against the rescanning reduction, through reduce, mul and, without u, both
+    # integer walks; the oracle's column a x^(k+1) is its reduction of x times column a x^k
     alg = one_variable_rings()[name]
     a, b = (data.draw(one_variable_elements(alg)) for _ in range(2))
     column = algebra_oracle.reduce(alg, a)

@@ -103,15 +103,15 @@ def test_formal_inverse_cancels():
 
 def test_n_series_basics():
     law = multiplicative_law(ZX2, 8)
-    assert law.n_series(1).series == law.x()
-    assert law.n_series(0).series.is_zero()
+    assert law.n_series(1) == law.x()
+    assert law.n_series(0).is_zero()
     # (1+x)^4 - 1
-    assert law.n_series(4).series == poly(ZX2, ("x",), 8, {(1,): 4, (2,): 6, (3,): 4, (4,): 1})
+    assert law.n_series(4) == poly(ZX2, ("x",), 8, {(1,): 4, (2,): 6, (3,): 4, (4,): 1})
 
 
 def test_n_series_additive_p_fold_vanishes():
     law = additive_law(F3, 6)
-    assert law.n_series(3).series.is_zero()
+    assert law.n_series(3).is_zero()
 
 
 def test_n_series_against_binomial_oracle():
@@ -121,7 +121,7 @@ def test_n_series_against_binomial_oracle():
     law = multiplicative_law(ZX3, 15)
     for m in (2, 3, 5, 7, 11):
         expected = poly(ZX3, ("x",), 15, {(k,): comb(m, k) for k in range(1, min(m, 14) + 1)})
-        assert law.n_series(m).series == expected
+        assert law.n_series(m) == expected
 
 
 def test_n_series_homomorphism_random_pairs():
@@ -129,20 +129,20 @@ def test_n_series_homomorphism_random_pairs():
     law = multiplicative_law(ZX2, 10)
     for _ in range(20):
         a, b = rng.randrange(0, 50), rng.randrange(0, 50)
-        sa, sb = law.n_series(a).series, law.n_series(b).series
-        assert law.formal_sum(sa, sb) == law.n_series(a + b).series
-        assert law.n_series(b).series.subst({"x": sa}) == law.n_series(a * b).series
+        sa, sb = law.n_series(a), law.n_series(b)
+        assert law.formal_sum(sa, sb) == law.n_series(a + b)
+        assert law.n_series(b).subst({"x": sa}) == law.n_series(a * b)
 
 
 def test_honda_height_one_p_series():
     law = honda_law(F2, 1, 8)
-    assert law.n_series(2).series == poly(F2, ("x",), 8, {(2,): 1})
+    assert law.n_series(2) == poly(F2, ("x",), 8, {(2,): 1})
 
 
 def test_honda_height_two_p_series_p3():
     law = honda_law(F3, 2, 10)
     assert law.check_axioms() == {"unit": True, "commutative": True, "associative": True}
-    assert law.n_series(3).series == poly(F3, ("x",), 10, {(9,): 1})
+    assert law.n_series(3) == poly(F3, ("x",), 10, {(9,): 1})
 
 
 def test_honda_validation():
@@ -248,7 +248,7 @@ def test_lubin_tate_two_series_low_coefficients():
     assert x2_u_part == -1
 
     law = lubin_tate_height2_law(LT2_SPEC, 10)
-    two = law.n_series(2).series
+    two = law.n_series(2)
     assert two.coefficient_of_degree(1) == CoeffElem.from_int(LT2_SPEC, 2)
     assert two.coefficient_of_degree(2) == CoeffElem(LT2_SPEC, [0, -1])
 

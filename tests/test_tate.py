@@ -172,7 +172,7 @@ def test_euler_image_is_product_of_torsion_coordinates(build, spec, cap):
     x1 = TruncSeries.variable(law.spec, level.variables, law.cap, "x1")
     product = level.one()
     for i in range(1, law.spec.p):
-        product = level.mul(product, level.reduce(law.n_series(i).series.subst({"x": x1})))
+        product = level.mul(product, level.reduce(law.n_series(i).subst({"x": x1})))
     assert euler_image_in_level(euler_class(law, AbelianPType((1,))), level) == product
 
 
@@ -277,7 +277,7 @@ def test_planted_non_unit_is_refused_through_the_fallback(spec, p):
     law = law_for(spec, p, 2)
     alg = group_cohomology_ring(law, AbelianPType((2,)))
     x1 = TruncSeries.variable(law.spec, alg.variables, law.cap, "x1")
-    p_series = alg.reduce(law.n_series(p).series.subst({"x": x1}))
+    p_series = alg.reduce(law.n_series(p).subst({"x": x1}))
     loc = localization_kernel(alg, alg.var(0))
     euler = fgl.tate.EulerClassData(ambient=alg, factors=[p_series, alg.one()],
                                     product=alg.var(0))
@@ -357,7 +357,7 @@ def test_fitting_rule_matches_sympy_quotient(spec, p, m):
         # localized at x, A_Q[1/x] = Q(zeta_p) x Q(zeta_p^2): [p](x) vanishes
         # on the first factor, so it is no unit and acts with rank q - (p - 1)
         x1 = TruncSeries.variable(law.spec, alg.variables, law.cap, "x1")
-        p_series = alg.reduce(law.n_series(p).series.subst({"x": x1}))
+        p_series = alg.reduce(law.n_series(p).subst({"x": x1}))
         q, ranks = _fitting_ranks(alg, alg.var(0), [p_series])
         assert q == p ** 2 - 1
         assert ranks == [q - (p - 1)]

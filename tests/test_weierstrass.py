@@ -36,7 +36,7 @@ def series_ring(spec, cap):
 
 def test_degree_of_two_series_multiplicative():
     law = multiplicative_law(ZX2, 8)
-    two = law.n_series(2).series  # x^2 + 2x
+    two = law.n_series(2)  # x^2 + 2x
     assert degree_of_first_unit(two, 8) == 2
 
 
@@ -84,7 +84,7 @@ def test_divide_x_cubed_exact_integers():
 
 def test_prepare_two_series_is_already_distinguished():
     law = multiplicative_law(ZX2, 8)
-    two = law.n_series(2).series
+    two = law.n_series(2)
     fact = weierstrass_prepare(two)
     assert fact.degree == 2
     assert fact.unit == TruncSeries.one(ZX2, ("x",), 8)
@@ -99,7 +99,7 @@ def test_prepare_p_power_series_multiplicative():
             n = p ** M
             assert all(comb(n, k) % p == 0 for k in range(1, n))
             law = multiplicative_law(spec, n + 2)
-            s = law.n_series(n).series
+            s = law.n_series(n)
             fact = weierstrass_prepare(s)
             assert fact.degree == n
             assert fact.unit == TruncSeries.one(spec, ("x",), n + 2)
@@ -140,7 +140,7 @@ def test_lubin_tate_p_power_preparation():
     # distinguished factor has 2-adic valuation exactly M (N = 8 > M)
     law = lubin_tate_height2_law(LT2_SPEC, 20)
     for M in (1, 2):
-        s = law.n_series(2 ** M).series
+        s = law.n_series(2 ** M)
         fact = weierstrass_prepare(s)
         assert fact.degree == 2 ** (2 * M)
         assert fact.unit * fact.distinguished == s
@@ -163,8 +163,8 @@ def test_lubin_tate_prepared_low_coefficients_cap_independent():
     law20 = lubin_tate_height2_law(LT2_SPEC, 20)
     law26 = lubin_tate_height2_law(LT2_SPEC, 26)
     for M in (1, 2):
-        f20 = weierstrass_prepare(law20.n_series(2 ** M).series)
-        f26 = weierstrass_prepare(law26.n_series(2 ** M).series)
+        f20 = weierstrass_prepare(law20.n_series(2 ** M))
+        f26 = weierstrass_prepare(law26.n_series(2 ** M))
         assert f20.degree == f26.degree == 2 ** (2 * M)
         lin20 = f20.distinguished.coefficient_of_degree(1)
         lin26 = f26.distinguished.coefficient_of_degree(1)

@@ -223,7 +223,7 @@ class FiniteAlgebra:
                         for i, shift, t in tail:
                             if shift is None:
                                 row[k - d + i] += v * t
-                            else:  # a mixed term lands in the row rest + shift
+                            else:
                                 rows[tuple(map(add, rest, shift))][k - d + i] += v * t
             terms = {rest[:j] + (i,) + rest[j:]: v
                      for rest, row in rows.items() for i, v in enumerate(row[:d]) if v}

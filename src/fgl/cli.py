@@ -213,10 +213,10 @@ def _dispatch(command: str, job: dict) -> dict:
         if gtype.exponents == (1,):
             euler_img = euler_image_in_level(report.euler, report.level).to_json()
         return {"command": command, "law": law.name, "p": law.spec.p,
-                "type": str(gtype), "levelRank": report.source_rank,
-                "tateRank": report.target_rank, "iso": report.bijective,
+                "type": str(gtype), "levelRank": report.level.rank,
+                "tateRank": report.localized.quotient_rank, "iso": report.bijective,
                 "factorsInvertible": factors.all_invertible,
-                "factorsChecked": factors.factors_checked,
+                "factorsChecked": len(factors.invertible),
                 "eulerImageInLevel": euler_img,
                 "passed": report.bijective and factors.all_invertible}
     if command == "delta-check":
@@ -234,7 +234,6 @@ def _dispatch(command: str, job: dict) -> dict:
         ring = parse_delta_ring(str(job["ring"]),
                                 default_p=int(job["p"]) if job.get("p") else None)
         r = int(job.get("r", 1))
-        base = CoeffRingSpec(p=ring.p, p_precision=1)
         # r itself and every power the composition law below needs, each built once
         values = {k: sheaf_eval(ring, k) for k in sorted({r, *range(5)})}
         sv = values[r]
@@ -248,8 +247,7 @@ def _dispatch(command: str, job: dict) -> dict:
                     for g in ring.generators
                 )
         rng = random.Random(int(job.get("seed", 0)))
-        cong = congruence_check(ring, base,
-                                [ring.random_element(rng) for _ in range(20)],
+        cong = congruence_check(ring, [ring.random_element(rng) for _ in range(20)],
                                 r=max(r, 1))
         chains_ok = frobenius_chain_check(ring, 2, cyclic_chains(2))["passed"] and \
             frobenius_chain_check(ring, 2, elementary_rank2_chains(ring.p))["passed"]

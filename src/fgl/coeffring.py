@@ -160,13 +160,6 @@ class CoeffElem:
         return cls(spec, (value,))
 
     @classmethod
-    def u_var(cls, spec: CoeffRingSpec) -> "CoeffElem":
-        """The deformation parameter u."""
-        if not spec.deformation_params:
-            raise SpecMismatch("the ring has no deformation parameter u")
-        return cls(spec, (0, 1))
-
-    @classmethod
     def zero(cls, spec: CoeffRingSpec) -> "CoeffElem":
         return cls(spec, 0, _clean=True)
 

@@ -119,7 +119,10 @@ class AbelianPType:
 
     @classmethod
     def parse(cls, text: str) -> "AbelianPType":
-        return cls(tuple(int(part) for part in text.split(",")))
+        try:
+            return cls(tuple(int(part) for part in text.split(",")))
+        except ValueError:
+            raise ValueError(f"group type {text!r}: expected exponents like '2,1'") from None
 
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.exponents)

@@ -117,17 +117,10 @@ class TruncSeries:
         return self.coefficient((0,) * len(self.variables))
 
     def coefficient(self, expo: Expo) -> CoeffElem:
-        return CoeffElem(self.spec, self.terms.get(tuple(expo), 0), _clean=True)
-
-    def coefficient_of_degree(self, degree: int) -> CoeffElem:
-        """Univariate only: the coefficient of x^degree."""
-        if len(self.variables) != 1:
-            raise SpecMismatch("coefficient_of_degree needs a univariate series")
-        return self.coefficient((degree,))
-
-    def valuation(self) -> int | None:
-        """Total degree of the lowest stored term (None for zero)."""
-        return min((sum(e) for e in self.terms), default=None)
+        expo = tuple(expo)
+        if len(expo) != len(self.variables):
+            raise SpecMismatch(f"exponent {expo} does not fit the variables {self.variables}")
+        return CoeffElem(self.spec, self.terms.get(expo, 0), _clean=True)
 
     def homogeneous_part(self, degree: int) -> "TruncSeries":
         terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
@@ -178,14 +171,16 @@ class TruncSeries:
               powers: dict[str, list["TruncSeries"]] | None = None) -> "TruncSeries":
         """Substitute series for variables.
 
-        Every variable of ``self`` must be given an image; the images must
-        live in one common series ring, and any image substituted into a
-        positive power must have zero constant term whenever a degree cap
-        is in force (otherwise truncation would not commute with
+        ``self`` needs a variable, and every one must be given an image; the
+        images must live in one common series ring, and any image substituted
+        into a positive power must have zero constant term whenever a degree
+        cap is in force (otherwise truncation would not commute with
         substitution; NonNilpotentArgument). ``powers`` maps a variable to
         the table [1, image, image^2, ...]; it is read and extended here, so
         a caller that keeps it pays for each power of an image once.
         """
+        if not self.variables:
+            raise SpecMismatch("a series in no variables has no image ring to substitute into")
         missing = [v for v in self.variables if v not in images]
         if missing:
             raise SpecMismatch(f"no image for variables {missing}")

@@ -98,7 +98,6 @@ class LocalizedRing:
     """
 
     ambient: FiniteAlgebra
-    inverted: TruncSeries
     image: Matrix
     basis: Matrix
     quotient_rank: int
@@ -141,7 +140,7 @@ def localization_kernel(alg: FiniteAlgebra, e: TruncSeries) -> LocalizedRing:
     free = {max(i for i, x in enumerate(v) if x) for v in kernel}
     pivots = [c for c in range(n) if c not in free]
     basis = [[row[c] for c in pivots] for row in image]
-    return LocalizedRing(ambient=alg, inverted=e, image=image, basis=basis,
+    return LocalizedRing(ambient=alg, image=image, basis=basis,
                          quotient_rank=len(pivots), iterations=iterations,
                          fallbacks=fallbacks)
 
@@ -153,9 +152,6 @@ class LevelToTateReport:
     euler: EulerClassData
     level: FiniteAlgebra
     localized: LocalizedRing
-    matrix: Matrix
-    source_rank: int
-    target_rank: int
     bijective: bool
 
 
@@ -166,7 +162,7 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     the report carries all three, so the later stages of a job reuse them.
     Well-definedness is checked (P kills every level relation) and the map
     is bijective when the level rank is q and the P-columns of the level
-    basis monomials (``matrix``) have rank q; no tolerances are involved.
+    basis monomials have rank q; no tolerances are involved.
     """
     if not law.spec.exact:
         raise ModeError("the rationalized comparison needs exact coefficients")
@@ -188,15 +184,11 @@ def level_to_tate_map(law: FormalGroupLaw, gtype: AbelianPType) -> LevelToTateRe
     matrix = [[row[i] for i in columns] for row in loc.image]
     q = loc.quotient_rank
     bijective = (level.rank == q) and (rank(matrix) == q)
-    return LevelToTateReport(
-        euler=ec, level=level, localized=loc, matrix=matrix,
-        source_rank=level.rank, target_rank=q, bijective=bijective,
-    )
+    return LevelToTateReport(euler=ec, level=level, localized=loc, bijective=bijective)
 
 
 @dataclass
 class FactorReport:
-    factors_checked: int
     invertible: list[bool]
     fallbacks: int = 0  # factors whose gcd mod l left the answer to the exact rank
 
@@ -228,7 +220,7 @@ def factor_invertibility_check(euler: EulerClassData, loc: LocalizedRing) -> Fac
         certified = gcd_degree_mod_l(h, g) == n - q
         fallbacks += not certified
         results.append(certified or rank(loc.multiplication_matrix(factor)) == q)
-    return FactorReport(len(euler.factors), results, fallbacks)
+    return FactorReport(results, fallbacks)
 
 
 def euler_image_in_level(euler: EulerClassData, level: FiniteAlgebra) -> TruncSeries:

@@ -98,11 +98,11 @@ def divide(f: TruncSeries, g: TruncSeries, ring) -> tuple[TruncSeries, TruncSeri
 
 
 def prepare(f: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries, int]:
-    """Factor a reduced element f = unit * distinguished; returns (unit, distinguished, d).
+    """Factor a reduced element f; returns (q, distinguished, d) with q f = distinguished.
 
     Dividing x^d by f gives x^d = q f + r, so q f = x^d - r =: P; q has unit
-    constant coefficient, hence u = q^{-1} and f = u P. Distinguishedness of
-    P (non-leading coefficients in the maximal ideal) is verified.
+    constant coefficient, hence f = q^{-1} P. Distinguishedness of P
+    (non-leading coefficients in the maximal ideal) is verified.
     """
     d = degree_of_first_unit(f, ring.lead_degrees[-1])
     x_d = TruncSeries(ring.spec, ring.variables, None,
@@ -114,7 +114,7 @@ def prepare(f: TruncSeries, ring) -> tuple[TruncSeries, TruncSeries, int]:
             f"weierstrass.prepare: prepared factor is not distinguished "
             f"({ring.spec.precision_label(ring.lead_degrees[-1])})"
         )
-    return ring.invert_element(q), dist, d
+    return q, dist, d
 
 
 # -- TruncSeries front end ---------------------------------------------------
@@ -138,6 +138,6 @@ def weierstrass_prepare(f: TruncSeries) -> WeierstrassFactorization:
     if f.cap is None:
         raise SpecMismatch("Weierstrass operations need a finite degree cap")
     ring = FiniteAlgebra(f.spec, (), [], ()).adjoin(f.variables[0], f.cap)
-    unit, dist, d = prepare(f.rename(f.variables, None), ring)
-    return WeierstrassFactorization(unit=unit.rename(f.variables, f.cap),
+    q, dist, d = prepare(f.rename(f.variables, None), ring)
+    return WeierstrassFactorization(unit=ring.invert_element(q).rename(f.variables, f.cap),
                                     distinguished=dist.rename(f.variables, f.cap), degree=d)

@@ -84,12 +84,12 @@ def test_criterion_2_weierstrass_preparation():
         fact = weierstrass_prepare(s)
         assert fact.degree == 2 ** (2 * M)
         assert fact.unit * fact.distinguished == s  # exact at precision
-        lin = fact.distinguished.coefficient_of_degree(1)
+        lin = fact.distinguished.coefficient((1,))
         assert lin.constant_part() % (2 ** M) == 0
         assert lin.constant_part() % (2 ** (M + 1)) != 0
         assert all(c % (2 ** M) == 0 for c in lin.terms)
         for k in range(fact.degree):
-            assert not fact.distinguished.coefficient_of_degree(k).is_unit()
+            assert not fact.distinguished.coefficient((k,)).is_unit()
     report(2, "prepare([p^M]) = (1, (1+x)^(p^M)-1) exactly for p in {2,3}, "
               "M in {1,2,3}; height-2 factors have degree 2^(2M), exact "
               "reconstruction, and x-coefficient of valuation exactly M")
@@ -139,8 +139,8 @@ def test_criterion_5_rationalized_isomorphism():
             law = multiplicative_law(EXACT[p], p ** m + 2)
             rep = level_to_tate_map(law, AbelianPType((m,)))
             expected = p ** m - p ** (m - 1)
-            assert rep.source_rank == expected
-            assert rep.target_rank == expected
+            assert rep.level.rank == expected
+            assert rep.localized.quotient_rank == expected
             assert rep.bijective
     report(5, "level ring -> rational Tate quotient is bijective with rank "
               "p^m - p^(m-1) for p in {2,3}, m in {1,2,3} (exact rational "
@@ -154,7 +154,7 @@ def test_criterion_6_factorwise_invertibility():
             ec = euler_class(law, AbelianPType((m,)))
             rep = factor_invertibility_check(
                 ec, localization_kernel(ec.ambient, ec.product))
-            assert rep.factors_checked == p ** m - 1
+            assert len(rep.invertible) == p ** m - 1
             assert rep.all_invertible
     report(6, "every Euler factor acts invertibly on the rational Tate "
               "quotient for all criterion-5 cases")
@@ -207,7 +207,7 @@ def test_criterion_9_sheaf_functor():
         assert composed.frobenius_power == direct.frobenius_power
         for g in ring.generators:
             assert composed.generator_images[g] == direct.generator_images[g]
-    for p, base_spec in ((2, CHAR_P[2]), (3, CHAR_P[3])):
+    for p in (2, 3):
         spec = CoeffRingSpec(p=p, p_precision=None)
         tt = TruncSeries.variable(spec, ("t",), None, "t")
         tp = tt
@@ -215,7 +215,7 @@ def test_criterion_9_sheaf_functor():
             tp = tp * tt
         ring_p = DeltaRing(("t",), {"t": tp}, p)
         samples = [ring_p.random_element(rng) for _ in range(30)]
-        assert congruence_check(ring_p, base_spec, samples)["passed"]
+        assert congruence_check(ring_p, samples)["passed"]
     assert frobenius_chain_check(ring, 2, cyclic_chains(2))["passed"]       # C_4
     assert frobenius_chain_check(ring, 3, cyclic_chains(3))["passed"]       # C_8
     assert frobenius_chain_check(ring, 2, elementary_rank2_chains(2))["passed"]  # C_2 x C_2

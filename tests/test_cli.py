@@ -428,6 +428,9 @@ MALFORMED = [
      "--height"),
     (["check-axioms", "--law", "lubinTate2", "--p", "2", "--height", "2", "--trunc", "8"],
      "--height"),
+    (["level", "--law", "multiplicative", "--p", "2", "--type", "a"], "group type 'a'"),
+    (["level", "--law", "multiplicative", "--p", "2", "--type", ""], "group type ''"),
+    (["level", "--law", "multiplicative", "--p", "2", "--type", "1,,1"], "group type '1,,1'"),
 ]
 
 

@@ -19,8 +19,12 @@ from fgl.deltaring import (
 from fgl.errors import NotAFrobeniusLift, NotDivisible
 from fgl.series import TruncSeries
 
-F2 = CoeffRingSpec(p=2, p_precision=1)
-F3 = CoeffRingSpec(p=3, p_precision=1)
+
+# two generators whose images are not monomials, one of them with a constant term
+TWO_GENERATOR_RINGS = (
+    "Z[s, t]; psi s -> s^2 + 2*t; psi t -> t^2 - 2*s*t; p 2",
+    "Z[s, t]; psi s -> s^3 + 3*t; psi t -> t^3 - 3*s*t + 3; p 3",
+)
 
 
 def make_z(p: int) -> DeltaRing:
@@ -185,24 +189,60 @@ def test_sheaf_eval_height_one_identity():
 
 def test_congruence_check_char_p():
     rng = random.Random(67)
-    for p, spec in ((2, F2), (3, F3)):
+    for p in (2, 3):
         ring = make_zt(p)
         samples = [ring.random_element(rng) for _ in range(50)]
-        assert congruence_check(ring, spec, samples)["passed"]
-        assert congruence_check(ring, spec, samples, r=2)["passed"]
+        assert congruence_check(ring, samples)["passed"]
+        assert congruence_check(ring, samples, r=2)["passed"]
 
 
 def test_congruence_check_integers_mod_2():
     ring = make_z(2)
     three = ring.constant(3)
-    report = congruence_check(ring, F2, [three])
+    report = congruence_check(ring, [three])
     assert report["passed"]  # 3 = 9 mod 2
 
 
-def test_congruence_check_rejects_bad_base():
-    ring = make_z(2)
-    with pytest.raises(ValueError):
-        congruence_check(ring, CoeffRingSpec(p=2, p_precision=4), [ring.constant(1)])
+def old_congruence_failures(ring, samples, r):
+    # oracle: a^(p^r) raised over Z, psi^r(a) minus it read mod p
+    failures = []
+    for i, a in enumerate(samples):
+        diff = ring.psi_power(a, r) - _power(a, ring.p ** r)
+        bad = [expo for expo, c in diff.terms.items() if c % ring.p]
+        failures += [f"sample {i} at monomial {bad[0]}"] if bad else []
+    return failures
+
+
+# psi^r is no exponent map on these rings, so they need the "mod p" of the check
+NON_MONOMIAL_RINGS = ("Z[t]; psi t -> t^2 + 2*t; p 2", TWO_GENERATOR_RINGS[0])
+
+
+@pytest.mark.parametrize("text", NON_MONOMIAL_RINGS)
+def test_congruence_check_matches_the_power_over_z(text):
+    ring = parse_delta_ring(text)
+    rng = random.Random(71)
+    samples = [ring.random_element(rng) for _ in range(8)]
+    for r in (1, 2, 3):
+        report = congruence_check(ring, samples, r)
+        assert report["passed"] and report["failures"] == []
+        assert old_congruence_failures(ring, samples, r) == []
+        assert (report["checked"], report["frobenius_power"]) == (len(samples), r)
+
+
+@pytest.mark.parametrize("text", NON_MONOMIAL_RINGS)
+def test_congruence_check_names_a_planted_failure(text, monkeypatch):
+    ring = parse_delta_ring(text)
+    rng = random.Random(73)
+    samples = [ring.random_element(rng) for _ in range(4)]
+    psi_power = DeltaRing.psi_power
+    monkeypatch.setattr(DeltaRing, "psi_power",
+                        lambda self, a, r: psi_power(self, a, r) + self.var("t"))
+    t = tuple(int(g == "t") for g in ring.generators)
+    for r in (1, 2):
+        report = congruence_check(ring, samples, r)
+        assert not report["passed"]
+        assert report["failures"] == [f"sample {i} at monomial {t}" for i in range(len(samples))]
+        assert old_congruence_failures(ring, samples, r) == report["failures"]
 
 
 def test_frobenius_chain_check_m0():
@@ -227,13 +267,6 @@ def test_frobenius_chain_check_wrong_length():
 
 
 # -- psi on the ring's table of image powers ---------------------------------------
-
-# two generators whose images are not monomials, one of them with a constant term
-TWO_GENERATOR_RINGS = (
-    "Z[s, t]; psi s -> s^2 + 2*t; psi t -> t^2 - 2*s*t; p 2",
-    "Z[s, t]; psi s -> s^3 + 3*t; psi t -> t^3 - 3*s*t + 3; p 3",
-)
-
 
 def element(ring, terms: dict) -> TruncSeries:
     return TruncSeries(ring.spec, ring.generators, None,

@@ -13,7 +13,8 @@ SOURCES = sorted(pathlib.Path(fgl.__file__).parent.glob("*.py"))
 # usage error (all of fgl.cli parses user input)
 PARSE_SITES = {
     "coeffring.py": ("CoeffRingSpec.__post_init__",),
-    "deltaring.py": ("parse_delta_ring", "_parse_poly", "sheaf_eval", "congruence_check"),
+    "deltaring.py": ("parse_delta_ring", "_parse_poly", "sheaf_eval"),
+    "grouprings.py": ("AbelianPType.parse",),
 }
 
 
@@ -87,14 +88,41 @@ def test_malformed_elements_are_spec_mismatch():
     with pytest.raises(SpecMismatch):
         CoeffElem(no_u, [1, 1])
     with pytest.raises(SpecMismatch):
-        CoeffElem.u_var(no_u)
-    with pytest.raises(SpecMismatch):
         TruncSeries(spec, ("x",), 4, {(1, 0): one})
     with pytest.raises(SpecMismatch):
-        x.coefficient_of_degree(1)
+        x.coefficient((1,))
     with pytest.raises(SpecMismatch):
         x.subst({"x": x})
+    with pytest.raises(SpecMismatch):  # a constant series has no variable to substitute
+        TruncSeries.one(spec, (), None).subst({})
     with pytest.raises(SpecMismatch):  # a rename must be injective
         x.rename(("x", "y"), 4, {"x": "y"})
     with pytest.raises(SpecMismatch):  # into names of the target ring
         x.rename(("x", "z"), 4)
+
+
+# definitions that no name in src/fgl reaches but that are called from outside it
+CALLED_FROM_OUTSIDE = {
+    ("cli.py", "_Parser.error"): "argparse calls it on a usage error",
+}
+
+
+def test_every_definition_is_used_or_exported():
+    # a function or class that nothing in the library names, and that
+    # fgl/__init__ does not export, has no caller
+    used, defined = set(), []
+    for path in SOURCES:
+        for scope, node in _nodes_with_scope(path):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.append((path.name, f"{scope}.{node.name}" if scope else node.name))
+    unused = [f"{name} ({path})" for path, name in defined
+              if name.rpartition(".")[2] not in used and (path, name) not in CALLED_FROM_OUTSIDE]
+    assert defined
+    assert unused == []

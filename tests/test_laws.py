@@ -249,8 +249,8 @@ def test_lubin_tate_two_series_low_coefficients():
 
     law = lubin_tate_height2_law(LT2_SPEC, 10)
     two = law.n_series(2)
-    assert two.coefficient_of_degree(1) == CoeffElem.from_int(LT2_SPEC, 2)
-    assert two.coefficient_of_degree(2) == CoeffElem(LT2_SPEC, [0, -1])
+    assert two.coefficient((1,)) == CoeffElem.from_int(LT2_SPEC, 2)
+    assert two.coefficient((2,)) == CoeffElem(LT2_SPEC, [0, -1])
 
 
 def test_lubin_tate_reduces_to_honda():

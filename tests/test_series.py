@@ -53,11 +53,9 @@ def test_substitution_matches_hand_expansion():
     assert got == poly(ZX, ("t",), 5, {(1,): 1, (2,): 2, (3,): 1, (4,): 1})
 
 
-def test_homogeneous_part_and_valuation():
+def test_homogeneous_part():
     f = poly(ZX, ("x", "y"), 6, {(1, 0): 1, (1, 1): 2, (0, 2): 3})
     assert f.homogeneous_part(2) == poly(ZX, ("x", "y"), 6, {(1, 1): 2, (0, 2): 3})
-    assert f.valuation() == 1
-    assert TruncSeries.zero(ZX, ("x",), 4).valuation() is None
 
 
 def test_rename_into_larger_ring():

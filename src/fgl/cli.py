@@ -174,36 +174,24 @@ def _dispatch(command: str, job: dict) -> dict:
                 "trunc": law.cap, "axioms": axioms, "passed": all(axioms.values())}
     if command == "prepare":
         law = _build_law(job)
-        M = _positive(job, "M", 1)
-        pprec = law.spec.p_precision
-        warning = None
-        if pprec is not None and pprec <= M:
-            warning = (f"p-precision {pprec} cannot distinguish p^{M} from 0; "
-                       "valuation claims are vacuous")
+        M, pprec = _positive(job, "M", 1), law.spec.p_precision
         fact = weierstrass_prepare(law.n_series(law.spec.p ** M))
         out = {"command": command, "law": law.name, "p": law.spec.p, "M": M,
                "degree": fact.degree, "unit": fact.unit.to_json(),
                "distinguished": fact.distinguished.to_json()}
-        if warning:
-            out["warning"] = warning
+        if pprec is not None and pprec <= M:
+            out["warning"] = (f"p-precision {pprec} cannot distinguish p^{M} from 0; "
+                              "valuation claims are vacuous")
         return out
-    if command == "groupring":
+    if command in ("groupring", "level"):
         law = _build_law(job)
         gtype = AbelianPType.parse(str(job["type"]))
-        alg = group_cohomology_ring(law, gtype)
-        out = alg.to_json()
-        out.update({"command": command, "law": law.name, "p": law.spec.p,
-                    "type": str(gtype), "dual_identified_with_group": True})
-        return out
-    if command == "level":
-        law = _build_law(job)
-        gtype = AbelianPType.parse(str(job["type"]))
+        out = {"command": command, "law": law.name, "p": law.spec.p, "type": str(gtype),
+               "dual_identified_with_group": True}
+        if command == "groupring":
+            return {**group_cohomology_ring(law, gtype).to_json(), **out}
         alg = quotient_to_level(law, gtype).target  # raises if any relation survives
-        out = alg.to_json()
-        out.update({"command": command, "law": law.name, "p": law.spec.p,
-                    "type": str(gtype), "dual_identified_with_group": True,
-                    "ambient_relations_killed": True})
-        return out
+        return {**alg.to_json(), **out, "ambient_relations_killed": True}
     if command == "tate":
         law = _build_law(job)
         gtype = AbelianPType.parse(str(job["type"]))
@@ -237,15 +225,8 @@ def _dispatch(command: str, job: dict) -> dict:
         # r itself and every power the composition law below needs, each built once
         values = {k: sheaf_eval(ring, k) for k in sorted({r, *range(5)})}
         sv = values[r]
-        comp_ok = True
-        for r1 in range(0, 3):
-            for r2 in range(0, 3):
-                left = values[r1].compose(values[r2])
-                right = values[r1 + r2]
-                comp_ok = comp_ok and all(
-                    left.generator_images[g] == right.generator_images[g]
-                    for g in ring.generators
-                )
+        comp_ok = all(values[r1].compose(values[r2]).generator_images
+                      == values[r1 + r2].generator_images for r1 in range(3) for r2 in range(3))
         rng = random.Random(int(job.get("seed", 0)))
         cong = congruence_check(ring, [ring.random_element(rng) for _ in range(20)],
                                 r=max(r, 1))

@@ -123,6 +123,8 @@ class AbelianPType:
             return cls(tuple(int(part) for part in text.split(",")))
         except ValueError:
             raise ValueError(f"group type {text!r}: expected exponents like '2,1'") from None
+        except UnsupportedGroupType as exc:  # a usage error here, unlike a constructor call
+            raise ValueError(f"group type {text!r}: {exc}") from None
 
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.exponents)

@@ -21,15 +21,18 @@ ring operations and by divisions by integers whose prime-to-p part divides
 exactly, so no value ever leaves Z[1/p]. Every coefficient of the resulting
 law must come back to scale 0 on its own before it is reduced into the
 target ring; this is checked, and a failure is an ``IntegralityFailure``
-naming the coefficient (a bug, not a user error). These lists are the
-builder's own, with their own truncated product ``_convolve``: a coefficient
-enters the ring's stored form only once, as a ``CoeffElem`` of the finished
-law.
+naming the coefficient (a bug, not a user error). The logarithm and its
+inverse E keep these lists, with their own truncated product ``_mul``;
+the Horner evaluation of E that forms F keeps each row as one Kronecker int
+(``_law_from_log``). A coefficient enters the ring's stored form only once,
+as a ``CoeffElem`` of the finished law.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
+from operator import lshift
 
 from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import (
@@ -163,35 +166,27 @@ def additive_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
 Scaled = tuple[list[int], int]
 
 
-def _convolve(a: list[int], b: list[int], width: int) -> list[int]:
-    """The coefficients of u^0..u^(width-1) in a * b, for coefficient lists by u-degree."""
-    out = [0] * width
-    for i, x in enumerate(a[:width]):
-        if x:
-            for k, y in enumerate(b[:width - i], i):
-                out[k] += x * y
-    return out
-
-
 def _strip(ints: list[int], s: int, p: int) -> Scaled:
     """Move every power of p dividing all of ``ints`` out of the scale."""
-    if s:
-        g = gcd(*ints)
-        if not g:
-            return ints, 0
-        v = 0
-        while v < s and g % p == 0:
-            g //= p
-            v += 1
-        if v:
-            q = p ** v
-            return [c // q for c in ints], s - v
-    return ints, s
+    v, g = 0, gcd(*ints) if s else 1
+    if not g:
+        return ints, 0
+    while v < s and g % p == 0:
+        g //= p
+        v += 1
+    return ([c // p ** v for c in ints], s - v) if v else (ints, s)
 
 
-def _mul(a: Scaled, b: Scaled, p: int) -> Scaled:
-    """Product truncated at u^width: convolve the ints, add the scales."""
-    return _strip(_convolve(a[0], b[0], len(a[0])), a[1] + b[1], p)
+def _mul(a: Scaled, b: Scaled) -> Scaled:
+    """Product truncated at u^width: the ints convolved, the scales added;
+    ``_lincomb`` strips the sum it enters."""
+    (x, s), (y, t) = a, b
+    out = [0] * len(x)
+    for i, c in enumerate(x):
+        if c:
+            for k, d in enumerate(y[:len(x) - i], i):
+                out[k] += c * d
+    return out, s + t
 
 
 def _lincomb(terms: list[tuple[int, Scaled]], p: int, width: int) -> Scaled:
@@ -209,11 +204,9 @@ def _lincomb(terms: list[tuple[int, Scaled]], p: int, width: int) -> Scaled:
 
 def _twist(a: Scaled, p: int) -> Scaled:
     """Apply u -> u^p to the coefficients (truncated at the width)."""
-    ints, s = a
-    out = [0] * len(ints)
-    for i in range(0, len(ints), p):
-        out[i] = ints[i // p]
-    return out, s
+    out = [0] * len(a[0])
+    out[::p] = a[0][:len(out[::p])]
+    return out, a[1]
 
 
 def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
@@ -233,8 +226,20 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
     scale. F is then the Horner evaluation of E at S = l(x) + l(y) (Brent and
     Kung, J. ACM 25, 1978). S has valuation 1 and multiplies the accumulator
     k more times after e_k joins it, so only its x^a y^b with a + b < cap - k
-    are formed. S's coefficients share one scale, and so do the accumulator's:
-    a step is integer convolutions and adds.
+    are formed. S's coefficients share one scale, and so do the accumulator's
+    rows. Within a step each row is one int, its u-polynomial at u = 2^w with
+    signed w-bit slots (Kronecker substitution; von zur Gathen and Gerhard,
+    Modern Computer Algebra, 3rd ed., 8.4), so a row times a coefficient c_j
+    of S is one int product. An output row is sum_j c_j (left + right), where
+    left + right has slots of at most 2 M_acc (M_acc the largest |slot| of a
+    row) and slot i of c_j r is sum_t c_(j,t) r_(i-t). So every slot of an
+    output, also above u^width, is at most 2 M_acc |S|_1, with |S|_1 the sum
+    of every |slot| of S, which is at most 2 s width M_S M_acc for s terms of
+    largest |slot| M_S. w = bitlen(2 M_acc |S|_1) + 1 keeps it below 2^(w-1):
+    adding 2^(w-1) to each of slots 0..width-1 then leaves slot i in bits
+    [w i, w (i+1)) with no borrow, and reading those slots is the truncation
+    at u^width. The read after each step yields the power of p to move into
+    A and the M_acc, hence the w, of the next step.
     """
     p, width = spec.p, spec.width
 
@@ -243,7 +248,7 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
 
     def miller(c: list[Scaled], j: int, n: int) -> Scaled:
         # c holds [z^i] G^j for i < n; g_i = e_{i+1}
-        terms = [((j + 1) * i - n, _mul(E[i + 1], c[n - i], p))
+        terms = [((j + 1) * i - n, _mul(E[i + 1], c[n - i]))
                  for i in range(1, n + 1) if (j + 1) * i != n and any(E[i + 1][0])]
         ints, s = _lincomb(terms, p, width)
         m, v = n, 0
@@ -254,9 +259,8 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
             raise fail(f"the Miller division by {m} at degree {n} of E^{j} is not exact")
         return _strip([x // m for x in ints], s + v, p)
 
-    zero: Scaled = ([0] * width, 0)
     one: Scaled = ([1] + [0] * (width - 1), 0)
-    E = [zero, one]
+    E = [([0] * width, 0), one]
     powers = {j: [one] for j, c in sorted(log_coeffs.items()) if 1 < j < cap and any(c[0])}
     for k in range(2, cap):
         terms = []
@@ -266,43 +270,55 @@ def _law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, Scaled],
             n = k - j
             if n:
                 c.append(miller(c, j, n))
-            terms.append((-1, _mul(log_coeffs[j], c[n], p)))
+            terms.append((-1, _mul(log_coeffs[j], c[n])))
         E.append(_lincomb(terms, p, width))
 
     # Horner: (((e_{cap-1}) S + e_{cap-2}) S + ... + e_1) S. Every partial
     # result is symmetric in x and y, so only the exponents (a, b) with a <= b
-    # are kept. A row of ints stands for ints / p^A, one A for all rows, and A
-    # never drops below the largest scale of an e_k, so each e_k joins by a product.
+    # are kept. A row stands for its slots / p^A, one A for all rows, and A
+    # never drops below the largest scale of an e_k, so each e_k joins by a
+    # product. A step packs the rows into a grid by (a, b), sums int products
+    # into each output and reads its slots back once; the power q of p that
+    # divides every slot is divided out of the packed rows of the next step.
     sigma = max(s for _, s in log_coeffs.values())
     S = [(j, [x * p ** (sigma - s) for x in ints])
          for j, (ints, s) in sorted(log_coeffs.items()) if j < cap and any(ints)]
-    acc: dict[tuple[int, int], list[int]] = {}
+    room = 2 * sum(abs(x) for _, c in S for x in c)
+    rows: dict[tuple[int, int], list[int]] = {}
     A = floor = max(s for _, s in E)
+    top, q = 0, 1
     for k in range(cap - 1, -1, -1):
-        out: dict[tuple[int, int], list[int]] = {}
+        w = (room * top).bit_length() + 1
+        shifts, half, mask = range(0, w * width, w), 1 << (w - 1), (1 << w) - 1
+        bias = sum(half << s for s in shifts)
+        acc = [[0] * cap for _ in range(cap)]
+        for (a, b), row in rows.items():
+            acc[a][b] = sum(map(lshift, row, shifts)) // q
+        packed = [(j, sum(map(lshift, c, shifts))) for j, c in S]
+        rows = {}
         for a in range(cap - k):
+            line = acc[a]
             for b in range(a, cap - k - a):
-                terms = []
-                for j, c in S:
+                t = bias
+                for j, c in packed:
                     if j > b:
                         break
-                    left = acc.get((a - j, b)) if j <= a else None
-                    right = acc.get((a, b - j) if a <= b - j else (b - j, a))
-                    src = [x + y for x, y in zip(left, right)] if left and right else left or right
+                    src = (acc[a - j][b] if j <= a else 0) + \
+                        (line[b - j] if a <= b - j else acc[b - j][a])
                     if src:
-                        terms.append(_convolve(c, src, width))
-                if terms:
-                    out[(a, b)] = [sum(col) for col in zip(*terms)]
-        acc, A = out, A + sigma
+                        t += c * src
+                if t != bias:
+                    rows[(a, b)] = [(t >> s & mask) - half for s in shifts]
+        A += sigma
         if k and any(E[k][0]):
-            acc[(0, 0)] = [x * p ** (A - E[k][1]) for x in E[k][0]]
-        v = A - floor - _strip([gcd(*(gcd(*row) for row in acc.values()))], A - floor, p)[1]
-        if v:
-            acc, A = {key: [x // p ** v for x in row] for key, row in acc.items()}, A - v
+            rows[(0, 0)] = [x * p ** (A - E[k][1]) for x in E[k][0]]
+        flat = list(chain.from_iterable(rows.values()))
+        v = A - floor - _strip([gcd(*flat)], A - floor, p)[1]
+        top, q, A = max(map(abs, flat), default=0) // p ** v, p ** v, A - v
 
     F_terms: dict[tuple[int, int], CoeffElem] = {}
-    for (a, b), row in acc.items():
-        ints, s = _strip(row, A, p)
+    for (a, b), row in rows.items():  # each row still to be divided by q = p^v
+        ints, s = _strip(row, A + v, p)
         if s:
             raise fail(f"the x^{a} y^{b} coefficient keeps the denominator {p}^{s}")
         F_terms[(a, b)] = F_terms[(b, a)] = CoeffElem(spec, ints)
@@ -323,12 +339,8 @@ def honda_law(spec: CoeffRingSpec, n: int, cap: int) -> FormalGroupLaw:
             f"cap must exceed p^n = {spec.p ** n} ({spec.precision_label(cap)})")
     # l(x) = sum_i x^(p^(n i)) / p^i
     log_coeffs: dict[int, Scaled] = {}
-    k = 1
-    i = 0
-    while k < cap:
-        log_coeffs[k] = ([1], i)
-        k *= spec.p ** n
-        i += 1
+    while (k := spec.p ** (n * len(log_coeffs))) < cap:
+        log_coeffs[k] = ([1], len(log_coeffs))
     return _law_from_log(spec, cap, log_coeffs, n, f"honda({n})")
 
 
@@ -345,16 +357,15 @@ def lubin_tate_height2_law(spec: CoeffRingSpec, cap: int) -> FormalGroupLaw:
     if cap <= spec.p ** 2:
         raise TruncationTooSmall(
             f"cap must exceed p^2 = {spec.p ** 2} ({spec.precision_label(cap)})")
-    p = spec.p
-    width = spec.width
+    p, width = spec.p, spec.width
     zero: Scaled = ([0] * width, 0)
     log_coeffs: dict[int, Scaled] = {1: ([1] + [0] * (width - 1), 0)}
     k = p
-    while k < cap:
-        prev_ints, prev_s = _twist(log_coeffs.get(k // p, zero), p)
+    while k < cap:  # k // p^2 is 0, a missing key, at k = p
+        prev_ints, prev_s = _twist(log_coeffs[k // p], p)
         u_prev = ([0] + prev_ints[:-1], prev_s)
-        prev2 = log_coeffs.get(k // (p * p), zero) if k % (p * p) == 0 else zero
-        ints, s = _lincomb([(1, u_prev), (1, _twist(_twist(prev2, p), p))], p, width)
+        prev2 = _twist(_twist(log_coeffs.get(k // (p * p), zero), p), p)
+        ints, s = _lincomb([(1, u_prev), (1, prev2)], p, width)
         log_coeffs[k] = _strip(ints, s + 1, p)
         k *= p
     return _law_from_log(spec, cap, log_coeffs, 2, "lubinTate(2)")

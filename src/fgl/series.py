@@ -220,8 +220,12 @@ class TruncSeries:
         targets = [(names or {}).get(v, v) for v in self.variables]
         if len(set(targets)) != len(targets) or not set(targets) <= set(variables):
             raise SpecMismatch(f"cannot rename {self.variables} into {variables} by {names}")
-        source = [targets.index(v) if v in targets else None for v in variables]
-        terms = {tuple(0 if i is None else expo[i] for i in source): c
+        # slot n of expo + (0,) is the 0 of a variable this series lacks
+        n = len(self.variables)
+        source = [targets.index(v) if v in targets else n for v in variables]
+        key = (itemgetter(*source) if len(source) > 1 else  # one index gives no tuple, a slice does
+               itemgetter(slice(source[0], source[0] + 1) if source else slice(0)))
+        terms = {key(expo + (0,)): c
                  for expo, c in self.terms.items() if cap is None or sum(expo) < cap}
         return TruncSeries(self.spec, variables, cap, terms, _clean=True)
 

@@ -98,9 +98,12 @@ def honda_log(p: int, n: int, cap: int) -> dict[int, _QU]:
     return log_coeffs
 
 
-def lubin_tate_height2_log(p: int, width: int, cap: int) -> dict[int, _QU]:
-    """l(x) = x + (u/p) l~(x^p) + (1/p) l~~(x^(p^2)), ~ twisting u -> u^p."""
-    u = _QU.u(width)
+def functional_equation_log(p: int, width: int, cap: int, v: list[int],
+                            w: list[int]) -> dict[int, _QU]:
+    """l(x) = x + (v/p) l~(x^p) + (w/p) l~~(x^(p^2)), ~ twisting u -> u^p, for
+    u-polynomials v and w given by their integer coefficients. By Hazewinkel's
+    functional-equation lemma the law of l is p-integral for every v and w."""
+    v_qu, w_qu = (_QU(Fraction(c) for c in (list(z) + [0] * width)[:width]) for z in (v, w))
     inv_p = Fraction(1, p)
     log_coeffs: dict[int, _QU] = {1: _QU.const(width, Fraction(1))}
     k = p
@@ -108,10 +111,26 @@ def lubin_tate_height2_log(p: int, width: int, cap: int) -> dict[int, _QU]:
         prev = log_coeffs.get(k // p, _QU.zero(width))
         prev2 = log_coeffs.get(k // (p * p), _QU.zero(width)) if k % (p * p) == 0 \
             else _QU.zero(width)
-        log_coeffs[k] = (u * prev.frobenius_twist(p)
-                         + prev2.frobenius_twist(p).frobenius_twist(p)).scale(inv_p)
+        log_coeffs[k] = (v_qu * prev.frobenius_twist(p)
+                         + w_qu * prev2.frobenius_twist(p).frobenius_twist(p)).scale(inv_p)
         k *= p
     return log_coeffs
+
+
+def lubin_tate_height2_log(p: int, width: int, cap: int) -> dict[int, _QU]:
+    """l(x) = x + (u/p) l~(x^p) + (1/p) l~~(x^(p^2)), ~ twisting u -> u^p."""
+    return functional_equation_log(p, width, cap, [0, 1], [1])
+
+
+def scaled_log(log_coeffs: dict[int, _QU], p: int) -> dict[int, tuple[list[int], int]]:
+    """The logarithm in the builder's input form: l_j as (ints, s), l_j = ints / p^s."""
+    out = {}
+    for j, q in log_coeffs.items():
+        s = 0
+        while any((c * p ** s).denominator != 1 for c in q.coeffs):
+            s += 1
+        out[j] = ([int(c * p ** s) for c in q.coeffs], s)
+    return out
 
 
 def law_from_log(spec: CoeffRingSpec, cap: int, log_coeffs: dict[int, _QU],

@@ -431,6 +431,13 @@ MALFORMED = [
     (["level", "--law", "multiplicative", "--p", "2", "--type", "a"], "group type 'a'"),
     (["level", "--law", "multiplicative", "--p", "2", "--type", ""], "group type ''"),
     (["level", "--law", "multiplicative", "--p", "2", "--type", "1,,1"], "group type '1,,1'"),
+    # well-formed numbers that name no supported group: a usage error too, not a failed check
+    (["level", "--law", "multiplicative", "--p", "2", "--type=0"],
+     "group type '0': cyclic factors need exponent >= 1"),
+    (["level", "--law", "multiplicative", "--p", "2", "--type=-1"],
+     "group type '-1': cyclic factors need exponent >= 1"),
+    (["level", "--law", "multiplicative", "--p", "2", "--type=1,2"],
+     "group type '1,2': exponents must be sorted descending"),
 ]
 
 

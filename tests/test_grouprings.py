@@ -69,6 +69,11 @@ def test_abelian_p_type_validation():
         AbelianPType((1, 2))
     t = AbelianPType.parse("2,1,1")
     assert t.rank == 3 and t.order_exponent == 4 and t.order(2) == 16
+    for text, reason in (("0", "cyclic factors need exponent >= 1"),
+                         ("1,2", "exponents must be sorted descending")):
+        # parsed text is user input: the constructor's refusal becomes a usage error
+        with pytest.raises(ValueError, match=f"^group type '{text}': {reason}$"):
+            AbelianPType.parse(text)
 
 
 def test_group_ring_c2_multiplicative():

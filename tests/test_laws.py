@@ -287,7 +287,7 @@ def test_honda_matches_fraction_oracle(p, n, cap):
 @pytest.mark.parametrize("p,pprec,udeg,cap", [
     (2, 8, 6, 10), (2, 8, 6, 12), (2, 8, 6, 20), (2, 4, 2, 30),
     (2, 3, 2, 8), (2, 3, 2, 20), (2, 3, 2, 24), (2, 3, 2, 30), (3, 4, 3, 12), (3, 4, 3, 14),
-    (3, 4, 3, 28),
+    (3, 4, 3, 28), (5, 3, 3, 30),
 ])
 def test_lubin_tate_matches_fraction_oracle(p, pprec, udeg, cap):
     spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
@@ -304,6 +304,23 @@ def test_lubin_tate_matches_fraction_oracle_property(p_cap, pprec, udeg):
     spec = CoeffRingSpec(p=p, p_precision=pprec, deformation_params=1, u_degree_cap=udeg)
     assert lubin_tate_height2_law(spec, cap).F.terms == \
         law_oracle.lubin_tate_height2_F(spec, cap).terms
+
+
+@pytest.mark.parametrize("p,width,cap,v,w", [
+    (5, 3, 24, [-1, -5, 5], [5, -1000, 24]),
+    (5, 2, 20, [-5, 0], [5, -5]),
+    (5, 1, 24, [-2], [1000]),
+    (2, 1, 24, [1], [-2]),
+])
+def test_law_from_log_matches_fraction_oracle_where_slots_are_tight(p, width, cap, v, w):
+    # l(x) = x + (v/p) l~(x^p) + (w/p) l~~(x^(p^2)) has a p-integral law for any
+    # v, w in Z[u]; negative and large v, w give Horner rows with large slots of
+    # both signs, and on these logarithms the derived slot width has no bit to
+    # spare: two bits fewer corrupt F or leave a denominator in it
+    spec = CoeffRingSpec(p=p, p_precision=60, deformation_params=1, u_degree_cap=width)
+    log = law_oracle.functional_equation_log(p, width, cap, v, w)
+    got = _law_from_log(spec, cap, law_oracle.scaled_log(log, p), 2, "hand-made")
+    assert got.F.terms == law_oracle.law_from_log(spec, cap, log, width).terms
 
 
 def test_non_integral_log_raises_integrality_failure():

@@ -1,6 +1,8 @@
 import itertools
 import json
 import pathlib
+import random
+import re
 from functools import reduce
 from operator import add
 
@@ -15,7 +17,7 @@ import series_oracle
 from fgl import series
 from fgl.cli import run_job
 from fgl.coeffring import CoeffElem, CoeffRingSpec
-from fgl.errors import InternalInconsistency, NonNilpotentArgument
+from fgl.errors import InternalInconsistency, NonNilpotentArgument, SpecMismatch
 from fgl.grouprings import FiniteAlgebra
 from fgl.series import TruncSeries
 
@@ -62,6 +64,48 @@ def test_rename_into_larger_ring():
     f = poly(ZX, ("x",), 6, {(2,): 5})
     g = f.rename(("x", "y"), cap=6)
     assert g == poly(ZX, ("x", "y"), 6, {(2, 0): 5})
+
+
+def rename_oracle(f, variables, cap, names=None):
+    """The terms of ``f.rename``, one exponent at a time by name."""
+    out = {}
+    for expo, c in f.terms.items():
+        if cap is None or sum(expo) < cap:
+            by_name = {(names or {}).get(v, v): e for v, e in zip(f.variables, expo)}
+            out[tuple(by_name.get(v, 0) for v in variables)] = c
+    return out
+
+
+@pytest.mark.parametrize("source, variables, names", [
+    (("x",), ("x",), None),  # one variable into one: a one-slot exponent
+    (("x",), ("t",), {"x": "t"}),
+    (("y",), ("x", "y", "z"), None),  # two variables added around it
+    (("x", "y"), ("x", "y", "z"), None),  # one added
+    (("x", "y"), ("y", "x"), None),  # the slots reordered
+    (("x", "y"), ("x", "y"), {"x": "y", "y": "x"}),  # a swap
+    (("x", "y", "z"), ("z", "x", "y"), {"x": "y", "y": "z", "z": "x"}),
+    ((), ("x",), None),  # a constant series gains a variable
+    ((), (), None),
+])
+@pytest.mark.parametrize("cap", [None, 4])
+def test_rename_matches_termwise_oracle(source, variables, names, cap):
+    rng = random.Random(29)
+    terms = {tuple(rng.randrange(4) for _ in source): rng.randrange(1, 50) for _ in range(12)}
+    f = poly(ZX, source, 7, terms)
+    got = f.rename(variables, cap, names)
+    assert got.variables == variables and got.cap == cap
+    assert got.terms == rename_oracle(f, variables, cap, names)
+
+
+def test_rename_refuses_a_dropped_variable():
+    # y has no slot in the target ring, so its exponents would be lost
+    f = poly(ZX, ("x", "y"), 6, {(1, 2): 3})
+    with pytest.raises(SpecMismatch,
+                       match=re.escape("cannot rename ('x', 'y') into ('x',) by None")):
+        f.rename(("x",), 6)
+    with pytest.raises(SpecMismatch,
+                       match=re.escape("cannot rename ('x', 'y') into ('x', 'z') by {'y': 'x'}")):
+        f.rename(("x", "z"), 6, {"y": "x"})
 
 
 # -- the packed product against the pairwise oracle and sympy -----------------

@@ -315,8 +315,8 @@ def test_lubin_tate_matches_fraction_oracle_property(p_cap, pprec, udeg):
 def test_law_from_log_matches_fraction_oracle_where_slots_are_tight(p, width, cap, v, w):
     # l(x) = x + (v/p) l~(x^p) + (w/p) l~~(x^(p^2)) has a p-integral law for any
     # v, w in Z[u]; negative and large v, w give Horner rows with large slots of
-    # both signs, and on these logarithms the derived slot width has no bit to
-    # spare: two bits fewer corrupt F or leave a denominator in it
+    # both signs, and on these logarithms the derived slot width has at most one
+    # bit to spare: two bits fewer corrupt F or leave a denominator in it
     spec = CoeffRingSpec(p=p, p_precision=60, deformation_params=1, u_degree_cap=width)
     log = law_oracle.functional_equation_log(p, width, cap, v, w)
     got = _law_from_log(spec, cap, law_oracle.scaled_log(log, p), 2, "hand-made")

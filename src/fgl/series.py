@@ -16,11 +16,14 @@ negation of terms is ``spec.canon`` of a + b, a + bias - b or bias - a, as
 in ``CoeffElem``.
 
 The one product kernel sums A*B over pairs of term dicts (a product is one
-pair) keyed by one int per exponent, as in Monagan and Pearce's packed
-exponent vectors (CASC 2007): in n >= 2 variables the base-B digits of
-deg(e), e_1, ..., e_n, B the cap or, without one, one more than any
-coordinate of a product, so a product's key is k1 + k2 and carries no digit;
-in one variable the exponent; in none 0. Under a cap each right operand is
+pair). In one variable without a cap, and in none (a series in no variables
+holds only degree 0, below any cap), no cap cuts: it adds c1*c2 into one int
+per exponent k (one int in no variables) and builds {(k,): c}, with no key
+list. Otherwise it keys each term by one int per exponent, as in Monagan and
+Pearce's packed exponent vectors (CASC 2007): in n >= 2 variables the base-B
+digits of deg(e), e_1, ..., e_n, B the cap or, without one, one more than
+any coordinate of a product, so a product's key is k1 + k2 and carries no
+digit; in one variable the exponent. Under a cap each right operand is
 sorted by key, so by degree, and a left term walks only the slice below
 cap - deg(e1). It adds every in-cap product of stored ints into one int per
 output key, decodes each output's exponent once and applies ``spec.canon``
@@ -29,16 +32,17 @@ D*S products of coefficients below p^N, S the sum over the pairs of
 min(|A|, |B|), which ``spec.check_room`` bounds, so no slot carries.
 ``subst`` groups the terms by their exponent i of the variable o with the
 most image terms (Paterson and Stockmeyer's baby and giant steps) into one
-sum of R_i * o^i, R_i = sum of c * (other images' powers) in group i; the
-table of image powers may be kept by the caller across calls, as
-``DeltaRing`` does for its psi images.
+sum of R_i * o^i, R_i = sum of c * (other images' powers) in group i (one
+term per group in one variable, where no grouping runs); the table of image
+powers may be kept by the caller across calls, as ``DeltaRing`` does for
+its psi images.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter, mul
 
 from .coeffring import CoeffElem, CoeffRingSpec
@@ -177,7 +181,8 @@ class TruncSeries:
         cap is in force (otherwise truncation would not commute with
         substitution; NonNilpotentArgument). ``powers`` maps a variable to
         the table [1, image, image^2, ...]; it is read and extended here, so
-        a caller that keeps it pays for each power of an image once.
+        a caller that keeps it pays for each power of an image once. A
+        one-variable source skips the grouping (module docstring).
         """
         if not self.variables:
             raise SpecMismatch("a series in no variables has no image ring to substitute into")
@@ -186,22 +191,25 @@ class TruncSeries:
             raise SpecMismatch(f"no image for variables {missing}")
         model = images[self.variables[0]]
         spec, variables, cap = self.spec, model.variables, model.cap
-        one, zero = TruncSeries.one(spec, variables, cap), (0,) * len(variables)
+        ring, zero = TruncSeries(spec, variables, cap), (0,) * len(variables)  # ring: for _compat
         powers = {} if powers is None else powers
         for j, name in enumerate(self.variables):
-            one._compat(images[name])
+            ring._compat(images[name])
             top = max(map(itemgetter(j), self.terms), default=0)
             if cap is not None and top and zero in images[name].terms:
                 raise NonNilpotentArgument(
                     f"image of {name} has a nonzero constant term ({spec.precision_label(cap)})")
             table = powers.get(name)
             if table is None or table[1] is not images[name]:  # a new image starts a new table
-                table = powers[name] = [one, images[name]]
+                table = powers[name] = [TruncSeries.one(spec, variables, cap), images[name]]
             while len(table) <= top:
                 table.append(table[-1] * images[name])
         powers = [powers[name] for name in self.variables]  # powers[j][k]: image j to the k
+        if len(powers) == 1:  # one variable: each group is one term c, its own R_i
+            return _sum_of_products([({zero: c}, powers[0][i].terms) for (i,), c in
+                                     self.terms.items()], spec, variables, cap)
         o = max(range(len(powers)), key=lambda j: len(images[self.variables[j]].terms))
-        others = [(j, powers[j]) for j in range(len(powers)) if j != o]
+        one, others = powers[o][0], [(j, powers[j]) for j in range(len(powers)) if j != o]
         groups: dict[int, list] = {}
         for expo, c in self.terms.items():
             rest = [power[expo[j]] for j, power in others if expo[j]]
@@ -272,16 +280,30 @@ class TruncSeries:
 
 def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: int | None):
     """The sum of A * B over the term dicts (A, B) in ``pairs``, in (spec, variables, cap)."""
-    n, W = len(variables), 1
+    n, W, products, canon = len(variables), 1, 0, spec.canon  # products: S, sum of min(|A|, |B|)
+    if n == 0 or n == 1 and cap is None:  # no cap cuts: in no variables the one term has degree 0
+        if n:  # one sum per int exponent
+            acc: dict[int, int] = {}
+            for left, right in pairs:
+                products += min(len(left), len(right))
+                right = [(k, c) for (k,), c in right.items()]  # listed once for all left terms
+                for (k1,), c1 in left.items():
+                    for k2, c2 in right:
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        else:  # the one term of each side, at ()
+            constants = [left[()] * right[()] for left, right in pairs if left and right]
+            products = len(constants)
+        spec.check_room(products)  # before canon reads the slots
+        terms = ({(k,): c for k, v in acc.items() if (c := canon(v))} if n else
+                 {(): c} if (c := canon(sum(constants))) else {})
+        return TruncSeries(spec, variables, cap, terms, _clean=True)
     if n > 1:  # B: the cap, or without one more than any coordinate of a product
         top = lambda terms: max(chain.from_iterable(terms), default=0)
         B = cap if cap is not None else 1 + max((top(a) + top(b) for a, b in pairs), default=0)
         W, *weights = [B ** i for i in range(n, -1, -1)]
     # each term as (key, c), the key of e the digits deg(e), e_1, ..., e_n in base B (in one
-    # variable the exponent, in none 0), so a key over W is its degree and k1 + k2 a product's
-    if n == 0:
-        keyed = lambda terms: [(0, c) for c in terms.values()]
-    elif n == 1:
+    # variable the exponent), so a key over W is its degree and k1 + k2 a product's
+    if n == 1:
         keyed = lambda terms: [(i, c) for (i,), c in terms.items()]
     elif n == 2:
         keyed = lambda terms: [(((i + j) * B + i) * B + j, c) for (i, j), c in terms.items()]
@@ -292,15 +314,9 @@ def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: in
         keyed = lambda terms: [(sum(e) * W + sum(map(mul, e, weights)), c)
                                for e, c in terms.items()]
     acc: dict[int, int] = {}
-    products = 0  # S, the sum of min(|A|, |B|)
     for left, right in pairs:
         products += min(len(left), len(right))
         right = keyed(right)
-        if n == 1 and cap is None:  # one variable, no cap: the left terms as they stand
-            for (k1,), c1 in left.items():
-                for k2, c2 in right:
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-            continue
         if cap:  # by degree, so a left term of degree d walks the slice of degree < cap - d
             right.sort(key=_KEY)
         for k1, c1 in keyed(left):
@@ -309,8 +325,6 @@ def _sum_of_products(pairs: list, spec: CoeffRingSpec, variables: tuple, cap: in
                 acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
     spec.check_room(products)  # before canon reads the slots
     # each output's exponent, decoded once: the digits below its degree (zip(acc) gives (k,))
-    expos = (zip(*[[k // w % B for k in acc] for w in weights]) if n > 1 else
-             zip(acc) if n else repeat(()))
-    canon = spec.canon
+    expos = zip(*[[k // w % B for k in acc] for w in weights]) if n > 1 else zip(acc)
     terms = {e: c for e, v in zip(expos, acc.values()) if (c := canon(v))}
     return TruncSeries(spec, variables, cap, terms, _clean=True)

@@ -4,7 +4,7 @@ import pathlib
 import random
 import re
 from functools import reduce
-from operator import add
+from operator import add, is_
 
 import pytest
 import sympy
@@ -247,6 +247,47 @@ def test_subst_matches_termwise_oracle(spec, nsrc, ntgt, data):
     assert f.subst(images) == series_oracle.subst(f, images)
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(SPECS), st.integers(0, 3), st.booleans(), st.data())
+def test_one_variable_subst_matches_termwise_oracle(spec, ntgt, keep, data):
+    # a one-variable source skips the grouping: its sum is c * image^i over its
+    # terms c x^i, into a target in no to three variables; a kept table, passed
+    # twice, gains nothing on the second call
+    cap = data.draw(st.none() | st.integers(1, 8))
+    if ntgt == 0:  # a constant image, which under a cap must be zero
+        raw = data.draw(raw_terms(spec, 0, 1)) if cap is None else {}
+    else:
+        kind = data.draw(st.sampled_from(["monomial", "dense", "zero"]))
+        raw = data.draw(image_terms(spec, ntgt, cap, kind, 6))
+    images = {"x": raw_series(spec, ntgt, cap, raw)}
+    f = raw_series(spec, 1, data.draw(st.none() | st.integers(1, 8)),
+                   data.draw(raw_terms(spec, 1, 8, 1, top=5)))
+    expected = series_oracle.subst(f, images)
+    powers = {} if keep else None
+    assert stored(f.subst(images, powers)) == expected
+    if keep:
+        table = list(powers["x"])
+        assert f.subst(images, powers) == expected
+        assert len(powers["x"]) == len(table) and all(map(is_, powers["x"], table))
+
+
+def test_subst_checks_its_images_in_one_variable_and_more():
+    # the ring and constant-term checks read every image, whatever the source's arity
+    spec, other = SPECS[1], SPECS[2]
+    x, one_plus_x = (raw_series(spec, 1, 6, r) for r in ({(1,): [1]}, {(0,): [1], (1,): [1]}))
+    for f in (raw_series(spec, 1, 6, {(2,): [1]}), raw_series(spec, 2, 6, {(2, 1): [1]})):
+        images = dict.fromkeys(f.variables, x)
+        with pytest.raises(NonNilpotentArgument,
+                           match=re.escape("image of x has a nonzero constant term "
+                                           "(p=2, N=5, D=1, T=6)")):
+            f.subst({**images, "x": one_plus_x})
+        with pytest.raises(SpecMismatch, match="^coefficient rings differ$"):
+            f.subst({**images, f.variables[-1]: raw_series(other, 1, 6, {(1,): [1]})})
+    with pytest.raises(SpecMismatch,
+                       match=re.escape("series rings differ: ('x',)/6 vs ('x',)/5")):
+        raw_series(spec, 2, 6, {(2, 1): [1]}).subst({"x": x, "y": x.rename(("x",), 5)})
+
+
 TOP_SPECS = (CoeffRingSpec(p=2, p_precision=8, deformation_params=1, u_degree_cap=6),
              CoeffRingSpec(p=3, p_precision=3, deformation_params=1, u_degree_cap=7))
 
@@ -270,16 +311,31 @@ def test_sum_of_products_slot_width_worst_case(spec):
 
 
 def test_the_kernel_and_the_sweep_check_their_slot_room(monkeypatch):
-    # the kernel asks for the sum of min(|A|, |B|), the sweep for 1 + sum |tail_j|
+    # the kernel asks for the sum of min(|A|, |B|), under a cap, without one in
+    # one variable and in none; the sweep for 1 + sum |tail_j|
     spec, asked = TOP_SPECS[0], []
     monkeypatch.setattr(CoeffRingSpec, "check_room", lambda self, products: asked.append(products))
     top = [spec.modulus - 1] * spec.width
     dense = raw_series(spec, 1, 8, {(j,): top for j in range(8)})
     single = raw_series(spec, 1, 8, {(0,): top})
+    three = raw_series(spec, 1, None, {(j,): top for j in range(3)})
     series._sum_of_products([(single.terms, dense.terms), (dense.terms, dense.terms)],
                             spec, ("x",), 8)
+    series._sum_of_products([(single.terms, dense.terms), (dense.terms, three.terms)],
+                            spec, ("x",), None)
+    constant = raw_series(spec, 0, None, {(): top})
+    series._sum_of_products([(constant.terms, constant.terms), ({}, constant.terms)],
+                            spec, (), None)
     stage_ring(spec, 4)
-    assert asked == [1 + 8, 1 + 2 + 0]  # x^3 + (p + u) x + p and y^4
+    assert asked == [1 + 8, 1 + 3, 1 + 0, 1 + 2 + 0]  # x^3 + (p + u) x + p and y^4
+
+    def full(self, products):  # every slot full: a product must not reach canon
+        raise InternalInconsistency(f"{products} products per slot overflow")
+
+    monkeypatch.setattr(CoeffRingSpec, "check_room", full)
+    for a, b in ((single, dense), (single.rename(("x",), None), three), (constant, constant)):
+        with pytest.raises(InternalInconsistency, match="^1 products per slot overflow$"):
+            a * b
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["Z", "p2N5", "p3N3D3", "p2N8D6"])
@@ -396,12 +452,14 @@ CROSS_CHECKED = [
      {(1, False)}),
     ({"command": "level", "law": "lubinTate2", "p": 2, "type": "1,1", "pprec": 3, "udeg": 2,
       "trunc": 24}, {(1, True), (1, False), (2, False)}),
+    ({"command": "delta-check", "ring": "Z; psi id; p 2", "samples": 200, "seed": 7},
+     {(0, False)}),
 ]
 
 
 def test_the_cross_checked_jobs_reach_every_kernel_shape():
     reached = set().union(*(shapes for _, shapes in CROSS_CHECKED))
-    assert reached == set(itertools.product((1, 2), (True, False)))
+    assert reached == set(itertools.product((1, 2), (True, False))) | {(0, False)}
 
 
 @pytest.mark.parametrize("job, shapes", CROSS_CHECKED,

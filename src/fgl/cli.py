@@ -136,6 +136,7 @@ def _with_trunc(job: dict) -> dict:
     job = dict(job)
     if not job.get("trunc"):
         job["trunc"] = _default_trunc(job)
+    _positive(job, "trunc", None)  # a negative cap is a usage error, not a failed check
     return job
 
 
@@ -228,10 +229,9 @@ def _dispatch(command: str, job: dict) -> dict:
         comp_ok = all(values[r1].compose(values[r2]).generator_images
                       == values[r1 + r2].generator_images for r1 in range(3) for r2 in range(3))
         rng = random.Random(int(job.get("seed", 0)))
-        cong = congruence_check(ring, [ring.random_element(rng) for _ in range(20)],
-                                r=max(r, 1))
-        chains_ok = frobenius_chain_check(ring, 2, cyclic_chains(2))["passed"] and \
-            frobenius_chain_check(ring, 2, elementary_rank2_chains(ring.p))["passed"]
+        cong = congruence_check(values[max(r, 1)], [ring.random_element(rng) for _ in range(20)])
+        chains_ok = frobenius_chain_check(values[2], cyclic_chains(2))["passed"] and \
+            frobenius_chain_check(values[2], elementary_rank2_chains(ring.p))["passed"]
         return {"command": command, "ring": str(job["ring"]), "r": r,
                 "generator_images": {g: sv.generator_images[g].to_json()
                                      for g in ring.generators},

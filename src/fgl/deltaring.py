@@ -14,7 +14,10 @@ table of their powers for its lifetime, so each power is formed once.
 The sheaf evaluation realizes, for a Frobenius power r, the map
 psi^r (x) Id_S on the completed tensor A (x) S; it is fixed by the psi^r
 images of the generators, whatever the base ring S, so only r is given.
-Composing two evaluations multiplies the Frobenius powers, which is the
+It is the one way to apply psi^r: a value substitutes its images, keeping
+their powers. Built from the outside, psi^k(g) = psi(g) at the images of
+psi^(k-1), step k forms no product of higher degree than its output.
+Composing two evaluations adds the Frobenius powers, which is the
 functoriality this module exists to exhibit.
 """
 
@@ -24,7 +27,7 @@ import ast
 import keyword
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coeffring import CoeffElem, CoeffRingSpec
 from .errors import NotAFrobeniusLift, NotDivisible
@@ -65,9 +68,9 @@ class DeltaRing:
         k = len(self.generators)
         for _ in range(rng.randrange(1, SAMPLE_MAX_TERMS + 1)):
             expo = tuple(rng.randrange(0, SAMPLE_MAX_DEGREE + 1) for _ in range(k))
-            terms[expo] = CoeffElem.from_int(
-                self.spec, rng.randrange(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND + 1))
-        return TruncSeries(self.spec, self.generators, None, terms)
+            terms[expo] = rng.randrange(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND + 1)
+        terms = {e: c for e, c in terms.items() if c}  # over Z the stored int is the coefficient
+        return TruncSeries(self.spec, self.generators, None, terms, _clean=True)
 
     # -- operations ---------------------------------------------------------
 
@@ -75,12 +78,6 @@ class DeltaRing:
         if not self.generators:
             return a  # psi is the identity on Z
         return a.subst(self.psi_images, self._psi_powers)
-
-    def psi_power(self, a: TruncSeries, r: int) -> TruncSeries:
-        out = a
-        for _ in range(r):
-            out = self.psi(out)
-        return out
 
     def delta(self, a: TruncSeries) -> TruncSeries:
         return _divide_terms_by_p(self.psi(a) - _power(a, self.p))
@@ -245,23 +242,29 @@ class SheafValue:
     ring: DeltaRing
     frobenius_power: int
     generator_images: dict[str, TruncSeries]
+    _powers: dict = field(default_factory=dict, repr=False, compare=False)  # subst's power table
+
+    def __call__(self, a: TruncSeries) -> TruncSeries:
+        """psi^r(a): a at the generator images (a itself on Z)."""
+        return a.subst(self.generator_images, self._powers) if self.ring.generators else a
 
     def compose(self, other: "SheafValue") -> "SheafValue":
         """self after other: Frobenius powers add."""
-        images = {g: self.ring.psi_power(img, self.frobenius_power)
-                  for g, img in other.generator_images.items()}
+        images = {g: self(img) for g, img in other.generator_images.items()}
         return SheafValue(self.ring, self.frobenius_power + other.frobenius_power, images)
 
 
 def sheaf_eval(ring: DeltaRing, r: int) -> SheafValue:
-    """Evaluate the deformation sheaf of ``ring`` on Frob^r."""
+    """Evaluate the deformation sheaf of ``ring`` on Frob^r, from the outside."""
     if r < 0:
         raise ValueError("Frobenius power must be >= 0")
-    images = {g: ring.psi_power(ring.var(g), r) for g in ring.generators}
-    return SheafValue(ring, r, images)
+    value = SheafValue(ring, 0, {g: ring.var(g) for g in ring.generators})
+    for k in range(1, r + 1):  # psi^k(g) is psi(g) at the images of psi^(k-1)
+        value = SheafValue(ring, k, {g: value(ring.psi_images[g]) for g in ring.generators})
+    return value
 
 
-def congruence_check(ring: DeltaRing, samples: list[TruncSeries], r: int = 1) -> dict:
+def congruence_check(value: SheafValue, samples: list[TruncSeries]) -> dict:
     """Over a characteristic-p base, psi^r (x) Id must equal a -> a^(p^r).
 
     Realized on elementary tensors: a (x) s mod p only sees the coefficients
@@ -272,11 +275,11 @@ def congruence_check(ring: DeltaRing, samples: list[TruncSeries], r: int = 1) ->
     the right side is a with every exponent multiplied by p^r, and psi^r(a)
     must agree with it mod p at every monomial.
     """
-    p, q = ring.p, ring.p ** r
+    p, r = value.ring.p, value.frobenius_power
     failures = []
     for i, a in enumerate(samples):
-        lhs = ring.psi_power(a, r).terms
-        rhs = {tuple(k * q for k in expo): c for expo, c in a.terms.items()}
+        lhs = value(a).terms
+        rhs = {tuple(k * p ** r for k in expo): c for expo, c in a.terms.items()}
         for expo in {**lhs, **rhs}:
             if (lhs.get(expo, 0) - rhs.get(expo, 0)) % p:
                 failures.append(f"sample {i} at monomial {expo}")
@@ -285,18 +288,15 @@ def congruence_check(ring: DeltaRing, samples: list[TruncSeries], r: int = 1) ->
             "frobenius_power": r, "failures": failures}
 
 
-def frobenius_chain_check(ring: DeltaRing, order_exponent: int,
-                          chains: dict[str, list[str]]) -> dict:
+def frobenius_chain_check(expected: SheafValue, chains: dict[str, list[str]]) -> dict:
     """Every index-p chain from the trivial group assigns psi^m, m = order exp.
 
     A chain is a sequence of index-p steps; each step contributes one psi.
-    The composite is evaluated by honest map composition on generators and
-    compared against the directly constructed psi^m.
+    The composite is composed on generators one psi at a time, from the inside,
+    and compared against ``expected``, which sheaf_eval built from the outside.
     """
-    expected = {g: ring.psi_power(ring.var(g), order_exponent)
-                for g in ring.generators}
-    failures = []
-    results = {}
+    ring, order_exponent = expected.ring, expected.frobenius_power
+    failures, results = [], {}
     for name, chain in chains.items():
         steps = len(chain)
         if steps != order_exponent:
@@ -306,7 +306,7 @@ def frobenius_chain_check(ring: DeltaRing, order_exponent: int,
         images = {g: ring.var(g) for g in ring.generators}
         for _ in range(steps):
             images = {g: ring.psi(img) for g, img in images.items()}
-        ok = all(images[g] == expected[g] for g in ring.generators)
+        ok = images == expected.generator_images
         results[name] = ok
         if not ok:
             failures.append(f"{name}: composite differs from psi^{order_exponent}")

@@ -215,10 +215,11 @@ def test_criterion_9_sheaf_functor():
             tp = tp * tt
         ring_p = DeltaRing(("t",), {"t": tp}, p)
         samples = [ring_p.random_element(rng) for _ in range(30)]
-        assert congruence_check(ring_p, samples)["passed"]
-    assert frobenius_chain_check(ring, 2, cyclic_chains(2))["passed"]       # C_4
-    assert frobenius_chain_check(ring, 3, cyclic_chains(3))["passed"]       # C_8
-    assert frobenius_chain_check(ring, 2, elementary_rank2_chains(2))["passed"]  # C_2 x C_2
+        assert congruence_check(sheaf_eval(ring_p, 1), samples)["passed"]
+    psi2, psi3 = sheaf_eval(ring, 2), sheaf_eval(ring, 3)
+    assert frobenius_chain_check(psi2, cyclic_chains(2))["passed"]            # C_4
+    assert frobenius_chain_check(psi3, cyclic_chains(3))["passed"]            # C_8
+    assert frobenius_chain_check(psi2, elementary_rank2_chains(2))["passed"]  # C_2 x C_2
     assert len(elementary_rank2_chains(2)) == 3
     report(9, "sheaf composition law on 10 random (r, r') pairs, congruence "
               "over characteristic-p bases, and chain-independence for C_4, "

@@ -13,6 +13,7 @@ import fgl.cli
 import fgl.grouprings
 import fgl.tate
 from fgl.cli import _default_trunc, job_hash, main, run_job, run_suite
+from fgl.deltaring import SheafValue
 from fgl.errors import BaselineMismatch
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -320,6 +321,47 @@ def test_sheaf_eval_job_builds_each_power_once(monkeypatch, r):
     assert counts["sheaf_eval"] <= len({0, 1, 2, 3, 4, r})
 
 
+def plant_psi2(monkeypatch, step):
+    """sheaf_eval as a job looks it up, with psi^2 built by ``step`` from psi^1."""
+    honest = fgl.cli.sheaf_eval
+
+    def planted(ring, r):
+        return SheafValue(ring, 2, step(ring, honest(ring, 1))) if r == 2 else honest(ring, r)
+
+    monkeypatch.setattr(fgl.cli, "sheaf_eval", planted)
+
+
+PLANTED_STEPS = {
+    "one outside step too few": lambda ring, psi1: psi1.generator_images,
+    # psi(t) = t^2 + 2t is still a Frobenius lift, so the congruence cannot see it
+    "a wrong coefficient in psi(t)": lambda ring, psi1: {
+        "t": psi1(ring.psi_images["t"] + ring.var("t") + ring.var("t"))},
+}
+
+
+@pytest.mark.parametrize("step", PLANTED_STEPS.values(), ids=PLANTED_STEPS)
+def test_a_planted_outside_step_fails_composition_and_chains(monkeypatch, step):
+    plant_psi2(monkeypatch, step)
+    outputs = run_job({"command": "sheaf-eval", "ring": RING, "r": 3})["outputs"]
+    assert (outputs["composition_law"], outputs["chains"], outputs["congruence"]) == \
+        (False, False, True)
+    assert not outputs["passed"]
+
+
+@pytest.mark.parametrize("ring_text, r", [
+    ("Z[t]; psi t -> t^2; p 2", 12), ("Z[s, t]; psi s -> s^2 + 2*t; psi t -> t^2 - 2*s*t; p 2", 4)])
+def test_sheaf_eval_job_keeps_the_psi_tables_at_p_plus_one(monkeypatch, ring_text, r):
+    # psi applied r times from the inside kept 3 * 2^(r-1) + 1 powers: 6,145 at r = 12
+    rings = []
+    parse = fgl.cli.parse_delta_ring
+    monkeypatch.setattr(fgl.cli, "parse_delta_ring",
+                        lambda *args, **kwargs: rings.append(parse(*args, **kwargs)) or rings[-1])
+    assert run_job({"command": "sheaf-eval", "ring": ring_text, "r": r})["outputs"]["passed"]
+    [ring] = rings
+    assert ring._psi_powers
+    assert all(len(table) <= ring.p + 1 for table in ring._psi_powers.values())
+
+
 def test_level_stage_failure_names_stage_and_precision(capsys):
     # T=10 is below the stage-1 nilpotency depth (2^2 - 1)(8 + 6 - 1) = 39
     code, _, err = run_cli(capsys, "level", "--law", "lubinTate2", "--p", "2", "--type", "1,1",
@@ -410,6 +452,7 @@ MALFORMED = [
     (["check-axioms", "--law", "lubinTate2", "--p", "2", "--udeg", "0", "--trunc", "8"], "udeg"),
     (["prepare", "--law", "multiplicative", "--p", "2", "--M", "-1"], "M"),
     (["prepare", "--law", "multiplicative", "--p", "2", "--M", "-1", "--trunc", "16"], "M"),
+    (["series", "--law", "multiplicative", "--p", "2", "--m", "3", "--trunc", "-5"], "trunc"),
     (["delta-check", "--ring", RING, "--samples", "-1"], "samples"),
     (["delta-check", "--ring", RING, "--samples", "0"], "samples"),
     (["delta-check", "--ring", "Z[t]; psi t -> t^^2; p 2"], "psi t -> t^^2"),

@@ -8,6 +8,7 @@ import series_oracle
 from fgl.coeffring import CoeffElem, CoeffRingSpec
 from fgl.deltaring import (
     DeltaRing,
+    SheafValue,
     _power,
     congruence_check,
     cyclic_chains,
@@ -165,6 +166,13 @@ def test_sheaf_eval_r2_squares_twice():
     assert sv.generator_images["t"] == t * t * t * t  # t^(p^2)
 
 
+def test_sheaf_eval_r40_is_one_monomial():
+    # from the outside each step squares one monomial; psi applied 40 times from the
+    # inside would need the powers of t^2 up to t^(2^39)
+    ring = make_zt(2)
+    assert sheaf_eval(ring, 40).generator_images["t"] == element(ring, {(2 ** 40,): 1})
+
+
 def test_sheaf_composition_law_random_pairs():
     rng = random.Random(61)
     ring = make_zt(2)
@@ -192,22 +200,22 @@ def test_congruence_check_char_p():
     for p in (2, 3):
         ring = make_zt(p)
         samples = [ring.random_element(rng) for _ in range(50)]
-        assert congruence_check(ring, samples)["passed"]
-        assert congruence_check(ring, samples, r=2)["passed"]
+        assert congruence_check(sheaf_eval(ring, 1), samples)["passed"]
+        assert congruence_check(sheaf_eval(ring, 2), samples)["passed"]
 
 
 def test_congruence_check_integers_mod_2():
     ring = make_z(2)
     three = ring.constant(3)
-    report = congruence_check(ring, [three])
+    report = congruence_check(sheaf_eval(ring, 1), [three])
     assert report["passed"]  # 3 = 9 mod 2
 
 
-def old_congruence_failures(ring, samples, r):
+def old_congruence_failures(value, samples):
     # oracle: a^(p^r) raised over Z, psi^r(a) minus it read mod p
-    failures = []
+    ring, failures = value.ring, []
     for i, a in enumerate(samples):
-        diff = ring.psi_power(a, r) - _power(a, ring.p ** r)
+        diff = value(a) - _power(a, ring.p ** value.frobenius_power)
         bad = [expo for expo, c in diff.terms.items() if c % ring.p]
         failures += [f"sample {i} at monomial {bad[0]}"] if bad else []
     return failures
@@ -223,10 +231,26 @@ def test_congruence_check_matches_the_power_over_z(text):
     rng = random.Random(71)
     samples = [ring.random_element(rng) for _ in range(8)]
     for r in (1, 2, 3):
-        report = congruence_check(ring, samples, r)
+        value = sheaf_eval(ring, r)
+        report = congruence_check(value, samples)
         assert report["passed"] and report["failures"] == []
-        assert old_congruence_failures(ring, samples, r) == []
+        assert old_congruence_failures(value, samples) == []
         assert (report["checked"], report["frobenius_power"]) == (len(samples), r)
+
+
+@pytest.mark.parametrize("text", NON_MONOMIAL_RINGS)
+def test_sheaf_value_matches_psi_applied_r_times(text):
+    # the images built from the outside, against psi applied from the inside
+    ring = parse_delta_ring(text)
+    rng = random.Random(79)
+    samples = [ring.random_element(rng) for _ in range(6)]
+    for r in (0, 1, 2):
+        value = sheaf_eval(ring, r)
+        for a in samples:
+            inside = a
+            for _ in range(r):
+                inside = ring.psi(inside)
+            assert value(a) == inside
 
 
 @pytest.mark.parametrize("text", NON_MONOMIAL_RINGS)
@@ -234,20 +258,20 @@ def test_congruence_check_names_a_planted_failure(text, monkeypatch):
     ring = parse_delta_ring(text)
     rng = random.Random(73)
     samples = [ring.random_element(rng) for _ in range(4)]
-    psi_power = DeltaRing.psi_power
-    monkeypatch.setattr(DeltaRing, "psi_power",
-                        lambda self, a, r: psi_power(self, a, r) + self.var("t"))
+    values = [sheaf_eval(ring, r) for r in (1, 2)]  # built before the plant
+    call = SheafValue.__call__
+    monkeypatch.setattr(SheafValue, "__call__", lambda self, a: call(self, a) + ring.var("t"))
     t = tuple(int(g == "t") for g in ring.generators)
-    for r in (1, 2):
-        report = congruence_check(ring, samples, r)
+    for value in values:
+        report = congruence_check(value, samples)
         assert not report["passed"]
         assert report["failures"] == [f"sample {i} at monomial {t}" for i in range(len(samples))]
-        assert old_congruence_failures(ring, samples, r) == report["failures"]
+        assert old_congruence_failures(value, samples) == report["failures"]
 
 
 def test_frobenius_chain_check_m0():
     ring = make_zt(2)
-    report = frobenius_chain_check(ring, 0, {"trivial": []})
+    report = frobenius_chain_check(sheaf_eval(ring, 0), {"trivial": []})
     assert report["passed"]
 
 
@@ -255,14 +279,14 @@ def test_frobenius_chain_check_c4_c8_c2c2():
     ring = make_zt(2)
     for exponent, chains in ((2, cyclic_chains(2)), (3, cyclic_chains(3)),
                              (2, elementary_rank2_chains(2))):
-        report = frobenius_chain_check(ring, exponent, chains)
+        report = frobenius_chain_check(sheaf_eval(ring, exponent), chains)
         assert report["passed"], report["failures"]
     assert len(elementary_rank2_chains(2)) == 3  # three order-2 subgroups
 
 
 def test_frobenius_chain_check_wrong_length():
     ring = make_zt(2)
-    report = frobenius_chain_check(ring, 2, {"short": ["only one step"]})
+    report = frobenius_chain_check(sheaf_eval(ring, 2), {"short": ["only one step"]})
     assert not report["passed"]
 
 
